@@ -5,7 +5,6 @@ from .analysis import (
     PropertyReport,
     SelectionResult,
     dp_alpha_max,
-    fair_diagonal_bound,
     gm_derivable,
     gm_is_column_monotone,
     gm_weak_honesty_threshold,

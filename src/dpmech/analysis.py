@@ -17,7 +17,6 @@ from .core import (
     l0d_score,
     tolerance,
 )
-from .explicit import fair_diagonal
 
 #: Fixed grid used for dp_alpha_max: 0.001, 0.002, ..., 1.000.
 DP_ALPHA_GRID_STEPS = 1000
@@ -39,11 +38,6 @@ def gm_is_column_monotone(alpha: float) -> bool:
     """The geometric mechanism is column monotone exactly when alpha <= 1/2."""
     alpha = _check_alpha(alpha, open_top=True)
     return alpha <= 0.5
-
-
-def fair_diagonal_bound(n: int, alpha: float) -> float:
-    """Maximal feasible constant diagonal of a fair private mechanism."""
-    return fair_diagonal(n, alpha)
 
 
 def gm_derivable(mech: Mechanism, alpha: float, tol: float | None = None) -> bool:

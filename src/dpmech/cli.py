@@ -6,10 +6,7 @@ stderr, so output composes in pipelines.  Exit codes: 0 success, 1 solver
 failure, 2 flag/mechanism-file errors, 3 data errors (evaluate).
 
 The validation tolerance (default 1e-9) can be overridden with the
-``DPMECH_TOL`` environment variable; ``DPMECH_BACKEND`` picks the numeric
-backend (auto|numba|numpy).  numba is an optional extra (``dpmech[numba]``):
-``auto`` falls back to numpy without it, and ``DPMECH_BACKEND=numba`` raises
-``RuntimeError`` when numba is missing.
+``DPMECH_TOL`` environment variable.
 """
 
 from __future__ import annotations

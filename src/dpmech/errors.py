@@ -30,7 +30,9 @@ class UnsupportedObjective(DpMechError):
 
 
 class NumericalInstability(DpMechError):
-    """Simplex stalled: every admissible pivot fell below the magnitude threshold."""
+    """Simplex failed numerically: every admissible pivot fell below the
+    magnitude threshold, the iteration cap was hit, or the final point breaks
+    a constraint by more than 1e-9."""
 
 
 class LpInternalError(DpMechError):

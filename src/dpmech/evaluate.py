@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import sample_counts
 from .core import Mechanism
 from .errors import (
     BadProbability,
@@ -235,7 +234,9 @@ def _run_reps(mech: Mechanism, groups: GroupCounts, cfg: EvalConfig, stat) -> Ev
     for r in range(cfg.reps):
         rng = substream(cfg.seed, r)
         u = rng.random(groups.num_groups)
-        outputs = sample_counts(groups.counts, u, cdf, mech.n)
+        # inverse CDF per group; the last bucket absorbs rounding slack
+        outputs = np.minimum((cdf[:, groups.counts] <= u[None, :]).sum(axis=0),
+                             mech.n).astype(np.int64)
         per_rep.append(float(stat(outputs, groups.counts)))
     arr = np.asarray(per_rep)
     std_error = float(arr.std(ddof=1) / np.sqrt(cfg.reps)) if cfg.reps > 1 else 0.0

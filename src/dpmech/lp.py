@@ -5,12 +5,11 @@ per-entry probability bounds, column-sum equalities and the adjacent-column
 ratio inequalities -- plus one linear row per requested structural property,
 over variables rho[i, j] flattened row-major as i*(n+1)+j.
 
-``solve_lp`` is deliberately self-contained (dense tableau, Dantzig pricing
-with a permanent switch to Bland's rule after a degenerate streak, pivot
-magnitude threshold 1e-12, final basis re-solve for a clean vertex).  The
-pivot loop runs on the numba backend when available; see ``_kernels``.
-numba is an optional extra (``dpmech[numba]``); without it the numpy kernel
-runs, and ``DPMECH_BACKEND=numba`` raises ``RuntimeError``.
+``solve_lp`` is deliberately self-contained (dense numpy tableau, Dantzig
+pricing with a permanent switch to Bland's rule after a degenerate streak,
+pivot magnitude threshold 1e-12, final basis re-solve for a clean vertex).
+It reports ``optimal`` only for a point that satisfies every row and bound
+within 1e-9.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .core import Mechanism, Objective, _check_alpha, tolerance
+from .core import PROPERTIES, Mechanism, Objective, _check_alpha, _distance_mask, tolerance
 from .errors import LpInternalError, NumericalInstability, UnsupportedObjective
 
 REL_LE = -1
@@ -32,6 +30,11 @@ _REL_TEXT = {REL_LE: "<=", REL_EQ: "==", REL_GE: ">="}
 _FEAS_TOL = 1e-7
 _RC_TOL = 1e-10
 _PIVOT_TOL = 1e-12
+#: largest constraint violation an ``optimal`` answer may carry
+_CERT_TOL = 1e-9
+#: degenerate pivots in a row before pricing switches to Bland's rule for good
+_BLAND_AFTER = 100
+_MAX_ITER = 200_000
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -128,8 +131,6 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     if obj.d > n:
         raise ValueError(f"tail offset d={obj.d} exceeds n={n}")
     props = frozenset(props)
-    from .core import PROPERTIES
-
     for p in props:
         if p not in PROPERTIES:
             raise ValueError(f"unknown property {p!r}")
@@ -226,12 +227,7 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
 
     # objective: w_j * |i-j|^p on cells with |i-j| >= d (>= max(d,1) for p=0,
     # so the diagonal never contributes); rescale folds into the coefficients
-    dist = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    d_eff = max(obj.d, 1) if obj.p == 0 else obj.d
-    mask = dist >= d_eff
-    per_cell = mask.astype(np.float64) if obj.p == 0 else np.where(
-        mask, dist.astype(np.float64) ** obj.p, 0.0)
-    c = (per_cell * obj.weights[None, :]).reshape(nv)
+    c = (_distance_mask(n, obj.p, obj.d) * obj.weights[None, :]).reshape(nv)
     if obj.rescale:
         c = c * (size / n)
 
@@ -260,8 +256,57 @@ def _pivot(T, basis, r, j):
     basis[r] = j
 
 
+def _simplex_iterate(T, basis, allowed, phase: str) -> bool:
+    """Pivot in place until no column below ``allowed`` prices out; returns
+    False when the objective is unbounded.
+
+    Dantzig entering rule with a permanent switch to Bland's rule after a run
+    of degenerate pivots; leaving row = min ratio, ties broken by the smallest
+    basic-variable index.
+    """
+    m = T.shape[0] - 1
+    bland = False
+    streak = 0
+    for _ in range(_MAX_ITER):
+        seg = T[m, :allowed]
+        if bland:
+            negs = np.nonzero(seg < -_RC_TOL)[0]
+            if negs.size == 0:
+                return True
+            j = int(negs[0])
+        else:
+            j = int(np.argmin(seg))
+            if seg[j] >= -_RC_TOL:
+                return True
+
+        colv = T[:m, j]
+        mask = colv > _PIVOT_TOL
+        if not mask.any():
+            if (colv > 0.0).any():
+                raise NumericalInstability(f"{phase} pivots fell below 1e-12")
+            return False
+        ratios = np.full(m, np.inf)
+        ratios[mask] = T[:m, -1][mask] / colv[mask]
+        best = ratios.min()
+        ties = np.nonzero(ratios == best)[0]
+        r = int(ties[np.argmin(basis[ties])])
+
+        if best <= 1e-12:
+            streak += 1
+            if streak > _BLAND_AFTER:
+                bland = True
+        else:
+            streak = 0
+        _pivot(T, basis, r, j)
+    raise NumericalInstability(f"{phase} iteration limit reached")
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve with two-phase primal simplex; never raises for infeasible/unbounded."""
+    """Solve with two-phase primal simplex; never raises for infeasible/unbounded.
+
+    Raises ``NumericalInstability`` when pivots stall, the iteration cap is
+    hit, or the final point breaks a row or bound by more than 1e-9.
+    """
     nv = lp.num_vars
     if not np.all(np.isfinite(lp.lo)):
         raise ValueError("solve_lp requires finite lower bounds")
@@ -334,11 +379,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for i in range(m):
             if basis[i] >= art_start:
                 T[m, :] -= T[i, :]
-        status = _kernels.simplex_iterate(T, basis, ncols, _RC_TOL, _PIVOT_TOL)
-        if status == _kernels.SIMPLEX_TINY_PIVOT:
-            raise NumericalInstability("phase-1 pivots fell below 1e-12")
-        if status == _kernels.SIMPLEX_ITER_LIMIT:
-            raise NumericalInstability("phase-1 iteration limit reached")
+        # the phase-1 objective is bounded below by 0
+        _simplex_iterate(T, basis, ncols, "phase-1")
         if -T[m, -1] > _FEAS_TOL:
             return LpSolution(status=STATUS_INFEASIBLE)
         # drive leftover artificials out of the basis; rows where no
@@ -367,12 +409,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         cb = T[m, basis[i]]
         if cb != 0.0:
             T[m, :] -= cb * T[i, :]
-    status = _kernels.simplex_iterate(T, basis, art_start, _RC_TOL, _PIVOT_TOL)
-    if status == _kernels.SIMPLEX_TINY_PIVOT:
-        raise NumericalInstability("phase-2 pivots fell below 1e-12")
-    if status == _kernels.SIMPLEX_ITER_LIMIT:
-        raise NumericalInstability("phase-2 iteration limit reached")
-    if status == _kernels.SIMPLEX_UNBOUNDED:
+    if not _simplex_iterate(T, basis, art_start, "phase-2"):
         return LpSolution(status=STATUS_UNBOUNDED)
 
     x_std = np.zeros(ncols)
@@ -387,6 +424,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         except np.linalg.LinAlgError:
             pass
     x = x_std[:nv] + lp.lo
+    violation = max_violation(lp, x)
+    if not violation <= _CERT_TOL:
+        raise NumericalInstability(
+            f"simplex point breaks a constraint by {violation:.3g} (limit {_CERT_TOL:g})")
     return LpSolution(
         status=STATUS_OPTIMAL,
         values=x,

@@ -10,7 +10,7 @@ from dpmech import (
     design_mechanism,
     dp_alpha_max,
     explicit_fair,
-    fair_diagonal_bound,
+    fair_diagonal,
     geometric,
     gm_derivable,
     gm_is_column_monotone,
@@ -53,18 +53,18 @@ class TestThresholds:
 
 class TestFairDiagonalBound:
     def test_examples(self):
-        assert fair_diagonal_bound(2, 0.5) == pytest.approx(0.5, abs=1e-12)
-        assert fair_diagonal_bound(4, 10 / 11) == pytest.approx(0.22365988909426987,
-                                                                abs=1e-10)
+        assert fair_diagonal(2, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert fair_diagonal(4, 10 / 11) == pytest.approx(0.22365988909426987,
+                                                          abs=1e-10)
 
     def test_large_n_limit(self):
-        assert fair_diagonal_bound(400, 0.5) == pytest.approx(1 / 3, abs=1e-9)
+        assert fair_diagonal(400, 0.5) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_at_least_uniform_guessing(self):
         # guarantees the fair mechanism keeps weak honesty
         for a in ALPHA_GRID7:
             for n in range(1, 31):
-                assert fair_diagonal_bound(n, a) >= 1 / (n + 1) - 1e-12
+                assert fair_diagonal(n, a) >= 1 / (n + 1) - 1e-12
 
 
 class TestGmDerivable:
