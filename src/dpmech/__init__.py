@@ -28,7 +28,6 @@ from .core import (
     objective_value,
     read_mechanism_csv,
     symmetrize,
-    tolerance,
     uniform_weights,
     write_mechanism_csv,
 )

@@ -8,14 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Mechanism,
     PROPERTIES,
+    TOL,
+    Mechanism,
     _check_alpha,
     check_property,
     is_dp,
     l0_score,
     l0d_score,
-    tolerance,
 )
 
 #: Fixed grid used for dp_alpha_max: 0.001, 0.002, ..., 1.000.
@@ -40,21 +40,20 @@ def gm_is_column_monotone(alpha: float) -> bool:
     return alpha <= 0.5
 
 
-def gm_derivable(mech: Mechanism, alpha: float, tol: float | None = None) -> bool:
+def gm_derivable(mech: Mechanism, alpha: float) -> bool:
     """Whether the mechanism can be obtained by post-processing geometric noise.
 
     Tests, for every three row-adjacent entries,
     (P[i,j] - a*P[i,j-1]) >= a*(P[i,j+1] - a*P[i,j]).
     """
     alpha = _check_alpha(alpha)
-    tol = tolerance() if tol is None else tol
     m = mech.matrix
     mid = m[:, 1:-1]
     left = m[:, :-2]
     right = m[:, 2:]
     lhs = mid - alpha * left
     rhs = alpha * (right - alpha * mid)
-    return bool(np.all(lhs >= rhs - tol))
+    return bool(np.all(lhs >= rhs - TOL))
 
 
 @dataclass(frozen=True)
@@ -113,30 +112,30 @@ class PropertyReport:
         return out
 
 
-def dp_alpha_max(mech: Mechanism, tol: float | None = None) -> float:
+def dp_alpha_max(mech: Mechanism) -> float:
     """Largest alpha on the fixed grid k/1000 for which the privacy check holds.
 
     The check only loosens as alpha decreases, so bisection on the grid is exact.
     """
     steps = DP_ALPHA_GRID_STEPS
-    if not is_dp(mech, 1.0 / steps, tol):
+    if not is_dp(mech, 1.0 / steps):
         return 0.0
     lo, hi = 1, steps  # grid indices; lo passes
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if is_dp(mech, mid / steps, tol):
+        if is_dp(mech, mid / steps):
             lo = mid
         else:
             hi = mid - 1
     return lo / steps
 
 
-def property_report(mech: Mechanism, tol: float | None = None) -> PropertyReport:
-    flags = {p: check_property(mech, p, tol) for p in PROPERTIES}
+def property_report(mech: Mechanism) -> PropertyReport:
+    flags = {p: check_property(mech, p) for p in PROPERTIES}
     tail = {d: l0d_score(mech, d) for d in range(1, mech.n + 1)}
     return PropertyReport(
         flags=flags,
-        dp_alpha_max=dp_alpha_max(mech, tol),
+        dp_alpha_max=dp_alpha_max(mech),
         l0=l0_score(mech),
         l0d=tail,
     )

@@ -4,9 +4,6 @@ Subcommands: design, analyze, select, evaluate, export-heatmap.  Every
 command writes a single JSON document to stdout and keeps diagnostics on
 stderr, so output composes in pipelines.  Exit codes: 0 success, 1 solver
 failure, 2 flag/mechanism-file errors, 3 data errors (evaluate).
-
-The validation tolerance (default 1e-9) can be overridden with the
-``DPMECH_TOL`` environment variable.
 """
 
 from __future__ import annotations
@@ -85,20 +82,19 @@ def _cmd_design(args) -> int:
 
     try:
         if args.mechanism == "lp":
-            problem = lp.build_lp(args.n, args.alpha, props, objective)
             if args.dump_lp:
                 with open(args.dump_lp, "w", encoding="utf-8") as fh:
-                    problem.dump(fh)
-            solution = lp.solve_lp(problem)
-            if solution.status != lp.STATUS_OPTIMAL:
-                return _fail(EXIT_SOLVER, f"LP solve ended with status {solution.status}")
-            mech = core.Mechanism(solution.values.reshape(args.n + 1, args.n + 1))
+                    lp.build_lp(args.n, args.alpha, props, objective).dump(fh)
+            mech = lp.design_mechanism(args.n, args.alpha, props, objective)
         elif args.mechanism == "gm":
             mech = explicit.geometric(args.n, args.alpha)
         elif args.mechanism == "em":
             mech = explicit.explicit_fair(args.n, args.alpha)
         else:
             mech = explicit.uniform(args.n)
+        value = core.objective_value(mech, objective)
+    except OSError as exc:
+        return _fail(EXIT_SOLVER, f"cannot write {args.dump_lp}: {exc}")
     except (NumericalInstability, LpInternalError) as exc:
         return _fail(EXIT_SOLVER, str(exc))
     except (ValueError, DpMechError) as exc:
@@ -115,7 +111,7 @@ def _cmd_design(args) -> int:
         "alpha": args.alpha,
         "props": sorted(props),
         "objective": args.objective,
-        "objective_value": core.objective_value(mech, objective),
+        "objective_value": value,
         "out": str(args.out),
         "report": report.to_json_dict(),
     })

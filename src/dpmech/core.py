@@ -9,7 +9,6 @@ freely across threads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +25,11 @@ from .errors import (
 #: Canonical names of the seven structural properties.
 PROPERTIES = ("RH", "RM", "CH", "CM", "F", "WH", "S")
 
-_DEFAULT_TOL = 1e-9
+#: Additive slack of every validation and predicate check.
+TOL = 1e-9
 
-
-def tolerance() -> float:
-    """Validation/predicate tolerance; DPMECH_TOL overrides the 1e-9 default."""
-    raw = os.environ.get("DPMECH_TOL")
-    return float(raw) if raw else _DEFAULT_TOL
+#: Properties whose comparisons are equalities; the others are lhs >= rhs.
+_EQUALITIES = ("F", "S")
 
 
 def _check_alpha(alpha: float, *, open_top: bool = False) -> float:
@@ -49,21 +46,20 @@ class Mechanism:
 
     __slots__ = ("matrix", "n")
 
-    def __init__(self, entries, *, tol: float | None = None):
-        tol = tolerance() if tol is None else tol
+    def __init__(self, entries):
         matrix = np.array(entries, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-        if matrix.min() < -tol or matrix.max() > 1.0 + tol:
+        if matrix.min() < -TOL or matrix.max() > 1.0 + TOL:
             bad = np.unravel_index(
                 np.argmax(np.maximum(-matrix, matrix - 1.0)), matrix.shape)
             raise EntryOutOfRange(
-                f"entry {matrix[bad]} at {bad} outside [0, 1] (tol {tol})")
+                f"entry {matrix[bad]} at {bad} outside [0, 1] (tol {TOL})")
         sums = matrix.sum(axis=0)
         off = np.abs(sums - 1.0)
-        if off.max() > tol:
+        if off.max() > TOL:
             j = int(np.argmax(off))
-            raise ColumnSumError(f"column {j} sums to {sums[j]}, not 1 (tol {tol})")
+            raise ColumnSumError(f"column {j} sums to {sums[j]}, not 1 (tol {TOL})")
         matrix.setflags(write=False)
         self.matrix = matrix
         self.n = matrix.shape[0] - 1
@@ -75,60 +71,69 @@ class Mechanism:
         return f"Mechanism(n={self.n}, trace={self.trace():.6f})"
 
 
-def new_mechanism(n: int, entries, tol: float | None = None) -> Mechanism:
+def new_mechanism(n: int, entries) -> Mechanism:
     """Build a Mechanism after checking the entries match the stated group size."""
     entries = np.asarray(entries, dtype=np.float64)
     if entries.shape != (n + 1, n + 1):
         raise DimensionMismatch(
             f"expected shape {(n + 1, n + 1)} for n={n}, got {entries.shape}")
-    return Mechanism(entries, tol=tol)
+    return Mechanism(entries)
 
 
-def is_dp(mech: Mechanism, alpha: float, tol: float | None = None) -> bool:
+def _sides(g: np.ndarray, prop: str):
+    """The two sides of the comparisons that define ``prop`` on a square array.
+
+    ``g`` holds mechanism entries or LP cell indices; the pairs come in
+    ``build_lp``'s row order.  RH, RM, CH and CM hold when lhs >= rhs, F and S
+    when lhs == rhs, and "DP" (row-adjacent entries) when lhs >= alpha*rhs and
+    rhs >= alpha*lhs.  WH bounds the diagonal and has no sides.
+    """
+    if prop == "DP":
+        return g[:, :-1], g[:, 1:]
+    if prop in ("CH", "CM"):
+        return _sides(g.T, "R" + prop[1])
+    diag = np.diagonal(g)
+    if prop == "RH":
+        off = ~np.eye(len(g), dtype=bool)
+        return np.broadcast_to(diag[:, None], g.shape)[off], g[off]
+    if prop == "RM":
+        # entries fall away from the diagonal: left of it the right neighbour
+        # of each adjacent pair is the larger one, from it on the left one
+        left, right = g[:, :-1], g[:, 1:]
+        toward = np.arange(len(g) - 1)[None, :] < np.arange(len(g))[:, None]
+        return np.where(toward, right, left), np.where(toward, left, right)
+    if prop == "F":
+        return diag[1:], np.broadcast_to(diag[0], len(g) - 1)
+    if prop == "S":
+        flat = g.ravel()
+        half = flat.size // 2
+        return flat[:half], flat[::-1][:half]
+    raise ValueError(f"no comparison defines {prop!r}")
+
+
+def is_dp(mech: Mechanism, alpha: float) -> bool:
     """True when every pair of row-adjacent entries satisfies the ratio bound.
 
-    Checked multiplicatively (``alpha*x - y <= tol`` in both directions) so
+    Checked multiplicatively (``alpha*x - y <= TOL`` in both directions) so
     zero entries are legal inputs; a zero next to a nonzero entry in a row
-    fails for any alpha materially above tol.
+    fails for any alpha materially above TOL.
     """
     alpha = _check_alpha(alpha)
-    tol = tolerance() if tol is None else tol
-    left = mech.matrix[:, :-1]
-    right = mech.matrix[:, 1:]
-    return bool(np.all(alpha * right - left <= tol)
-                and np.all(alpha * left - right <= tol))
+    left, right = _sides(mech.matrix, "DP")
+    return bool(np.all(alpha * right - left <= TOL)
+                and np.all(alpha * left - right <= TOL))
 
 
-def check_property(mech: Mechanism, prop: str, tol: float | None = None) -> bool:
+def check_property(mech: Mechanism, prop: str) -> bool:
     """Evaluate one of the seven structural properties with additive slack."""
-    tol = tolerance() if tol is None else tol
-    m = mech.matrix
-    n = mech.n
-    diag = np.diagonal(m)
-    if prop == "RH":
-        return bool(np.all(m <= diag[:, None] + tol))
-    if prop == "CH":
-        return bool(np.all(m <= diag[None, :] + tol))
-    if prop == "RM":
-        # row entries non-increasing moving away from the diagonal
-        i = np.arange(n + 1)[:, None]
-        k = np.arange(n)[None, :]
-        toward = m[:, :-1] <= m[:, 1:] + tol
-        away = m[:, 1:] <= m[:, :-1] + tol
-        return bool(np.all(np.where(k < i, toward, away)))
-    if prop == "CM":
-        k = np.arange(n)[:, None]
-        j = np.arange(n + 1)[None, :]
-        toward = m[:-1, :] <= m[1:, :] + tol
-        away = m[1:, :] <= m[:-1, :] + tol
-        return bool(np.all(np.where(k < j, toward, away)))
-    if prop == "F":
-        return bool(np.all(np.abs(diag - diag[0]) <= tol))
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if prop == "WH":
-        return bool(np.all(diag >= 1.0 / (n + 1) - tol))
-    if prop == "S":
-        return bool(np.all(np.abs(m - m[::-1, ::-1]) <= tol))
-    raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+        return bool(np.all(np.diagonal(mech.matrix) >= 1.0 / (mech.n + 1) - TOL))
+    lhs, rhs = _sides(mech.matrix, prop)
+    if prop in _EQUALITIES:
+        return bool(np.all(np.abs(lhs - rhs) <= TOL))
+    return bool(np.all(rhs <= lhs + TOL))
 
 
 def implied_properties(props) -> frozenset:
@@ -180,7 +185,7 @@ class Objective:
             raise DimensionMismatch("weights must be a 1-D vector")
         if w.min() < 0.0:
             raise ValueError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > tolerance():
+        if abs(w.sum() - 1.0) > TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

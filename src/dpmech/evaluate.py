@@ -229,6 +229,8 @@ def _run_reps(mech: Mechanism, groups: GroupCounts, cfg: EvalConfig, stat) -> Ev
     if mech.n != groups.n:
         raise DimensionMismatch(
             f"mechanism size {mech.n} does not match group size {groups.n}")
+    if groups.num_groups == 0:
+        raise ValueError(f"no complete group of {groups.n} to evaluate")
     cdf = _column_cdfs(mech)
     per_rep = []
     for r in range(cfg.reps):

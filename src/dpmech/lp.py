@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROPERTIES, Mechanism, Objective, _check_alpha, _distance_mask, tolerance
+from .core import (
+    _EQUALITIES,
+    PROPERTIES,
+    Mechanism,
+    Objective,
+    _check_alpha,
+    _distance_mask,
+    _sides,
+)
 from .errors import LpInternalError, NumericalInstability, UnsupportedObjective
 
 REL_LE = -1
@@ -113,10 +121,6 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 # mechanism LP construction
 # ---------------------------------------------------------------------------
 
-def _var(n: int, i: int, j: int) -> int:
-    return i * (n + 1) + j
-
-
 def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     """LP whose optimum is a minimal-cost private mechanism with the given properties."""
     if obj.aggregator != "sum":
@@ -135,95 +139,32 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         if p not in PROPERTIES:
             raise ValueError(f"unknown property {p!r}")
 
-    rows: list[np.ndarray] = []
-    rels: list[int] = []
-    rhs: list[float] = []
+    # each block is the rows x[p] - k*x[q] {rel} rhs, one per (p, q) pair;
+    # the two privacy directions of an adjacent pair stay next to each other
+    cells = np.arange(nv).reshape(size, size)
+    left, right = _sides(cells, "DP")
+    blocks = [(np.stack([left, right], -1), np.stack([right, left], -1), alpha, REL_GE, 0.0)]
+    for prop in PROPERTIES:
+        if prop not in props:
+            continue
+        if prop == "WH":
+            blocks.append((np.diagonal(cells), None, 0.0, REL_GE, 1.0 / size))
+        else:
+            p, q = _sides(cells, prop)
+            blocks.append((p, q, 1.0, REL_EQ if prop in _EQUALITIES else REL_GE, 0.0))
 
-    def add(row, rel, value):
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(value)
-
-    # column sums
-    for j in range(size):
-        row = np.zeros(nv)
-        for i in range(size):
-            row[_var(n, i, j)] = 1.0
-        add(row, REL_EQ, 1.0)
-
-    # privacy ratio constraints on row-adjacent entries, both directions
-    for i in range(size):
-        for j in range(n):
-            row = np.zeros(nv)
-            row[_var(n, i, j)] = 1.0
-            row[_var(n, i, j + 1)] = -alpha
-            add(row, REL_GE, 0.0)
-            row = np.zeros(nv)
-            row[_var(n, i, j + 1)] = 1.0
-            row[_var(n, i, j)] = -alpha
-            add(row, REL_GE, 0.0)
-
-    if "RH" in props:
-        for i in range(size):
-            for j in range(size):
-                if j == i:
-                    continue
-                row = np.zeros(nv)
-                row[_var(n, i, i)] = 1.0
-                row[_var(n, i, j)] = -1.0
-                add(row, REL_GE, 0.0)
-    if "RM" in props:
-        for i in range(size):
-            for j in range(1, i + 1):
-                row = np.zeros(nv)
-                row[_var(n, i, j)] = 1.0
-                row[_var(n, i, j - 1)] = -1.0
-                add(row, REL_GE, 0.0)
-            for j in range(i, n):
-                row = np.zeros(nv)
-                row[_var(n, i, j)] = 1.0
-                row[_var(n, i, j + 1)] = -1.0
-                add(row, REL_GE, 0.0)
-    if "CH" in props:
-        for j in range(size):
-            for i in range(size):
-                if i == j:
-                    continue
-                row = np.zeros(nv)
-                row[_var(n, j, j)] = 1.0
-                row[_var(n, i, j)] = -1.0
-                add(row, REL_GE, 0.0)
-    if "CM" in props:
-        for j in range(size):
-            for i in range(1, j + 1):
-                row = np.zeros(nv)
-                row[_var(n, i, j)] = 1.0
-                row[_var(n, i - 1, j)] = -1.0
-                add(row, REL_GE, 0.0)
-            for i in range(j, n):
-                row = np.zeros(nv)
-                row[_var(n, i, j)] = 1.0
-                row[_var(n, i + 1, j)] = -1.0
-                add(row, REL_GE, 0.0)
-    if "F" in props:
-        for i in range(1, size):
-            row = np.zeros(nv)
-            row[_var(n, i, i)] = 1.0
-            row[_var(n, 0, 0)] = -1.0
-            add(row, REL_EQ, 0.0)
-    if "WH" in props:
-        for i in range(size):
-            row = np.zeros(nv)
-            row[_var(n, i, i)] = 1.0
-            add(row, REL_GE, 1.0 / size)
-    if "S" in props:
-        for i in range(size):
-            for j in range(size):
-                if _var(n, i, j) < _var(n, n - i, n - j):
-                    row = np.zeros(nv)
-                    row[_var(n, i, j)] = 1.0
-                    row[_var(n, n - i, n - j)] = -1.0
-                    add(row, REL_EQ, 0.0)
+    counts = [size] + [p.size for p, *_ in blocks]
+    a = np.zeros((sum(counts), nv))
+    a[np.arange(size)[:, None], cells.T] = 1.0  # column sums
+    rel = np.repeat([REL_EQ] + [blk[3] for blk in blocks], counts)
+    b = np.repeat([1.0] + [blk[4] for blk in blocks], counts)
+    start = size
+    for p, q, k, _, _ in blocks:
+        rows = np.arange(start, start + p.size)
+        a[rows, p.ravel()] = 1.0
+        if q is not None:
+            a[rows, q.ravel()] = -k
+        start += p.size
 
     # objective: w_j * |i-j|^p on cells with |i-j| >= d (>= max(d,1) for p=0,
     # so the diagonal never contributes); rescale folds into the coefficients
@@ -233,9 +174,9 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
 
     return LinearProgram(
         c=c,
-        a=np.array(rows) if rows else np.zeros((0, nv)),
-        rel=np.array(rels, dtype=np.int8),
-        b=np.array(rhs),
+        a=a,
+        rel=rel,
+        b=b,
         lo=np.zeros(nv),
         hi=np.ones(nv),
     )
@@ -447,4 +388,4 @@ def design_mechanism(n: int, alpha: float, props, obj: Objective) -> Mechanism:
         raise LpInternalError(
             f"design LP reported {sol.status}; the uniform mechanism is always feasible")
     matrix = sol.values.reshape(n + 1, n + 1)
-    return Mechanism(matrix, tol=max(tolerance(), 1e-9))
+    return Mechanism(matrix)

@@ -2,7 +2,16 @@
 
 import json
 
-from dpmech import cli, read_mechanism_csv
+import pytest
+
+from dpmech import cli, read_mechanism_csv, uniform, write_mechanism_csv
+
+
+def _error_only(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dpmech: error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_design_solver_failure_exits_1(tmp_path, capsys):
@@ -28,3 +37,59 @@ def test_design_ignores_retired_backend_variable(tmp_path, capsys, monkeypatch):
     assert doc["n"] == 3 and doc["mechanism"] == "lp"
     mech, alpha = read_mechanism_csv(out)
     assert mech.n == 3 and alpha == 0.6
+
+
+@pytest.mark.parametrize("mechanism", ["gm", "em", "um"])
+def test_design_objective_too_long_for_n_exits_2(tmp_path, capsys, mechanism):
+    out = tmp_path / "m.csv"
+    code = cli.main(["design", "--mechanism", mechanism, "--n", "10", "--alpha", "0.5",
+                     "--objective", "l0d", "--d", "50", "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+    assert not out.exists()
+
+
+def test_design_weights_of_wrong_length_exits_2(tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("0.5 0.5\n")
+    out = tmp_path / "m.csv"
+    code = cli.main(["design", "--mechanism", "gm", "--n", "3", "--alpha", "0.5",
+                     "--weights", str(weights), "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+    assert not out.exists()
+
+
+def test_evaluate_without_a_complete_group_exits_3(tmp_path, capsys):
+    mech = tmp_path / "m.csv"
+    write_mechanism_csv(uniform(3), mech, alpha=1.0)
+    data = tmp_path / "d.csv"
+    data.write_text("bit\n1\n0\n")
+    code = cli.main(["evaluate", "--mech", str(mech), "--data", "csv", "--csv", str(data),
+                     "--predicate", "bit", "--group-size", "3"])
+    assert code == cli.EXIT_DATA
+    _error_only(capsys)
+
+
+def test_design_dump_lp_writes_rows_and_designs(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    dump = tmp_path / "lp.txt"
+    code = cli.main(["design", "--n", "2", "--alpha", "0.5", "--props", "WH",
+                     "--out", str(out), "--dump-lp", str(dump)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["WH"]
+    lines = dump.read_text().splitlines()
+    assert lines[0].startswith("minimize ")
+    # 9 bounds, 3 column sums, 12 privacy rows, 3 weak-honesty rows
+    assert len(lines) == 1 + 9 + 3 + 12 + 3
+    assert read_mechanism_csv(out)[0].n == 2
+
+
+def test_design_unwritable_dump_lp_exits_1(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    code = cli.main(["design", "--n", "2", "--alpha", "0.5", "--out", str(out),
+                     "--dump-lp", str(tmp_path / "missing" / "lp.txt")])
+    assert code == cli.EXIT_SOLVER
+    _error_only(capsys)
+    assert not out.exists()

@@ -1,11 +1,19 @@
 """LP construction, the simplex solver and mechanism design."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from _lp_reference import enumerate_optimum, random_lp
-from conftest import ALPHA_GRID5
+from conftest import (
+    ALPHA_GRID5,
+    random_dp_mechanism,
+    random_fair_mechanism,
+    random_mechanism,
+)
 from dpmech import (
+    PROPERTIES,
     Objective,
     build_lp,
     check_property,
@@ -17,8 +25,10 @@ from dpmech import (
     is_dp,
     l0_objective,
     l0_score,
+    l1_objective,
     max_violation,
     solve_lp,
+    uniform,
     uniform_weights,
 )
 from dpmech.errors import LpInternalError, NumericalInstability, UnsupportedObjective
@@ -87,6 +97,65 @@ class TestBuildLp:
         assert sum(1 for ln in lines if ln.startswith("bound ")) == 4
         assert sum(1 for ln in lines if " >= " in ln and not ln.startswith("bound")) == 6
         assert sum(1 for ln in lines if " == " in ln) == 2
+
+
+class TestSharedDefinitions:
+    """check_property and is_dp agree with the LP rows of the same definition."""
+
+    @staticmethod
+    def _pool(rng):
+        for n in (1, 2, 3, 5):
+            for alpha in (0.3, 0.62, 0.9):
+                yield alpha, geometric(n, alpha)
+                yield alpha, explicit_fair(n, alpha)
+                yield alpha, random_dp_mechanism(rng, n, alpha)
+            yield 0.5, uniform(n)
+            yield 0.5, random_mechanism(rng, n)
+            yield 0.5, random_fair_mechanism(rng, n)
+
+    @staticmethod
+    def _rows_hold(lp, first, x):
+        r = lp.a[first:] @ x - lp.b[first:]
+        eq = lp.rel[first:] == REL_EQ
+        return bool(np.all(np.where(eq, np.abs(r) <= 1e-9, r >= -1e-9)))
+
+    def test_check_property_matches_lp_rows(self, rng):
+        for alpha, m in self._pool(rng):
+            n = m.n
+            base = build_lp(n, alpha, frozenset(), l0_objective(n))
+            x = m.matrix.ravel()
+            for p in PROPERTIES:
+                lp = build_lp(n, alpha, {p}, l0_objective(n))
+                assert check_property(m, p) == self._rows_hold(lp, base.num_constraints, x), p
+
+    def test_is_dp_matches_privacy_rows(self, rng):
+        for alpha, m in self._pool(rng):
+            n = m.n
+            for a in (alpha, 0.5 * alpha, min(1.0, 1.2 * alpha)):
+                lp = build_lp(n, a, frozenset(), l0_objective(n))
+                assert is_dp(m, a) == self._rows_hold(lp, n + 1, m.matrix.ravel())
+
+    def test_privacy_is_not_a_property(self):
+        with pytest.raises(ValueError):
+            check_property(uniform(2), "DP")
+
+    @pytest.mark.parametrize("n, alpha, props, objective, digest", [
+        (4, 0.62, PROPERTIES, l0_objective,
+         "976ab070f4fcf1aff7682d4091b8490f2b58f4bae35002919d8c7a6fd294f4af"),
+        (1, 0.5, (), l1_objective,
+         "5906783ef0cd743c7fb33056a3da4a9e0491d9c3c81b8ce3a02af22413bd3169"),
+        (3, 0.9, ("RM", "CH", "S"), l0_objective,
+         "f820584dcc21b64e1a46b61ca7c1e04fb76241fd4519dfca1bfd9f045d708808"),
+        (5, 0.3, ("RH", "CM", "F", "WH"), l1_objective,
+         "11604217f46944d46b59bf7c432ee204775f220b4c9087d4314a1a021d8415fe"),
+    ])
+    def test_row_layout_is_pinned(self, n, alpha, props, objective, digest):
+        # the simplex path depends on row order, so the layout must not drift
+        lp = build_lp(n, alpha, frozenset(props), objective(n))
+        h = hashlib.sha256()
+        for arr in (lp.a, lp.rel, lp.b):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestSolveLp:
