@@ -41,7 +41,6 @@ from .evaluate import (
     ingest_groups,
     mix64,
     parse_predicate,
-    sample_output,
     substream,
 )
 from .explicit import (

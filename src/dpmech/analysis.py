@@ -12,10 +12,9 @@ from .core import (
     TOL,
     Mechanism,
     _check_alpha,
+    _tail_costs,
     check_property,
     is_dp,
-    l0_score,
-    l0d_score,
 )
 
 #: Fixed grid used for dp_alpha_max: 0.001, 0.002, ..., 1.000.
@@ -132,10 +131,10 @@ def dp_alpha_max(mech: Mechanism) -> float:
 
 def property_report(mech: Mechanism) -> PropertyReport:
     flags = {p: check_property(mech, p) for p in PROPERTIES}
-    tail = {d: l0d_score(mech, d) for d in range(1, mech.n + 1)}
+    tail = _tail_costs(mech).tolist()
     return PropertyReport(
         flags=flags,
         dp_alpha_max=dp_alpha_max(mech),
-        l0=l0_score(mech),
-        l0d=tail,
+        l0=tail[1],
+        l0d={d: tail[d] for d in range(1, mech.n + 1)},
     )

@@ -121,15 +121,14 @@ def _cmd_design(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         mech, file_alpha = core.read_mechanism_csv(args.infile)
+        alpha = args.alpha if args.alpha is not None else file_alpha
+        derivable = analysis.gm_derivable(mech, alpha) if alpha is not None else None
+        doc = analysis.property_report(mech).to_json_dict()
     except (OSError, DpMechError) as exc:
         return _fail(EXIT_FLAGS, str(exc))
-    alpha = args.alpha if args.alpha is not None else file_alpha
-    report = analysis.property_report(mech)
-    doc = report.to_json_dict()
     doc["n"] = mech.n
     doc["alpha"] = alpha
-    doc["gm_derivable"] = (
-        analysis.gm_derivable(mech, alpha) if alpha is not None else None)
+    doc["gm_derivable"] = derivable
     _emit(doc)
     return EXIT_OK
 

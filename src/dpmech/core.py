@@ -50,7 +50,8 @@ class Mechanism:
         matrix = np.array(entries, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-        if matrix.min() < -TOL or matrix.max() > 1.0 + TOL:
+        # negated so that NaN, for which every comparison is false, fails too
+        if not (matrix.min() >= -TOL and matrix.max() <= 1.0 + TOL):
             bad = np.unravel_index(
                 np.argmax(np.maximum(-matrix, matrix - 1.0)), matrix.shape)
             raise EntryOutOfRange(
@@ -165,11 +166,11 @@ class Objective:
     ``d`` the tail offset (only cells with |i-j| >= d count, with d forced to
     at least 1 when p == 0 so the diagonal never contributes), ``rescale``
     multiplies by (n+1)/n so the input-blind uniform mechanism costs 1.
+    The loss is the weighted sum over true counts of each column's cost.
     """
 
     p: int
     weights: np.ndarray
-    aggregator: str = "sum"
     d: int = 0
     rescale: bool = False
 
@@ -178,13 +179,11 @@ class Objective:
             raise ValueError(f"p must be a non-negative integer, got {self.p}")
         if self.d < 0 or int(self.d) != self.d:
             raise ValueError(f"d must be a non-negative integer, got {self.d}")
-        if self.aggregator not in ("sum", "max"):
-            raise ValueError(f"aggregator must be 'sum' or 'max', got {self.aggregator!r}")
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise DimensionMismatch("weights must be a 1-D vector")
-        if w.min() < 0.0:
-            raise ValueError("weights must be non-negative")
+        if not w.min() >= 0.0:
+            raise ValueError(f"weights must be non-negative numbers, got {w.min()}")
         if abs(w.sum() - 1.0) > TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()}")
         w.setflags(write=False)
@@ -207,8 +206,13 @@ def l2_objective(n: int) -> Objective:
     return Objective(p=2, weights=uniform_weights(n))
 
 
+def _distances(n: int) -> np.ndarray:
+    """The |i-j| grid: distance of output i from true count j."""
+    return np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+
+
 def _distance_mask(n: int, p: int, d: int):
-    dist = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+    dist = _distances(n)
     d_eff = max(d, 1) if p == 0 else d
     mask = dist >= d_eff
     factor = mask.astype(np.float64) if p == 0 else np.where(mask, dist.astype(np.float64) ** p, 0.0)
@@ -225,30 +229,42 @@ def objective_value(mech: Mechanism, obj: Objective) -> float:
         raise DimensionMismatch(f"tail offset d={obj.d} exceeds group size n={n}")
     if obj.rescale and n == 0:
         raise UndefinedForN0("rescaled objectives are undefined for n=0")
-    factor = _distance_mask(n, obj.p, obj.d)
-    per_column = (mech.matrix * factor).sum(axis=0)
-    if obj.aggregator == "sum":
-        value = float(obj.weights @ per_column)
-    else:
-        value = float(per_column.max())
+    per_column = (mech.matrix * _distance_mask(n, obj.p, obj.d)).sum(axis=0)
+    value = float(obj.weights @ per_column)
     if obj.rescale:
         value *= (n + 1) / n
     return value
 
 
-def l0_score(mech: Mechanism) -> float:
-    """Rescaled wrong-answer probability: (n+1)/n - trace/n."""
-    if mech.n == 0:
-        raise UndefinedForN0("l0 score is undefined for n=0")
+def _tail_costs(mech: Mechanism) -> np.ndarray:
+    """Rescaled mass at distance >= d from the truth under the uniform prior,
+    indexed by d = 0..n.
+
+    With weights 1/(n+1) and the (n+1)/n rescale this is the entry sum of the
+    bands |i-j| >= d divided by n, so entry 0 is (n+1)/n and entry 1 is the
+    l0 cost.  One pass sums each band, then suffix sums accumulate the tails.
+    """
     n = mech.n
-    return (n + 1) / n - mech.trace() / n
+    if n == 0:
+        raise UndefinedForN0("tail costs are undefined for n=0")
+    bands = np.bincount(_distances(n).ravel(), weights=mech.matrix.ravel(),
+                        minlength=n + 1)
+    return np.cumsum(bands[::-1])[::-1] / n
+
+
+def l0_score(mech: Mechanism) -> float:
+    """Rescaled wrong-answer probability: the off-diagonal mass divided by n."""
+    return float(_tail_costs(mech)[1])
 
 
 def l0d_score(mech: Mechanism, d: int) -> float:
-    """Rescaled probability mass at distance >= d from the truth (uniform prior)."""
-    if d == 0:
-        return l0_score(mech)
-    return objective_value(mech, l0d_objective(mech.n, d))
+    """Rescaled probability mass at distance >= max(d, 1) from the truth
+    (uniform prior); d = 0 gives the l0 score."""
+    if d < 0 or int(d) != d:
+        raise ValueError(f"d must be a non-negative integer, got {d}")
+    if d > mech.n:
+        raise DimensionMismatch(f"tail offset d={d} exceeds group size n={mech.n}")
+    return float(_tail_costs(mech)[max(int(d), 1)])
 
 
 def symmetrize(mech: Mechanism) -> Mechanism:

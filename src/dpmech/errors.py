@@ -25,10 +25,6 @@ class UndefinedForN0(DpMechError):
     """Score requested for a size-0 mechanism (the formulas divide by n)."""
 
 
-class UnsupportedObjective(DpMechError):
-    """Objective shape not supported by the LP builder (max aggregator)."""
-
-
 class NumericalInstability(DpMechError):
     """Simplex failed numerically: every admissible pivot fell below the
     magnitude threshold, the iteration cap was hit, or the final point breaks
@@ -37,10 +33,6 @@ class NumericalInstability(DpMechError):
 
 class LpInternalError(DpMechError):
     """A mechanism-design LP reported infeasible/unbounded, which should be impossible."""
-
-
-class InputOutOfRange(DpMechError):
-    """Sampling input j outside [0, n]."""
 
 
 class BadProbability(DpMechError):

@@ -17,7 +17,6 @@ from .core import Mechanism
 from .errors import (
     BadProbability,
     DimensionMismatch,
-    InputOutOfRange,
     ParseError,
     UnknownColumn,
 )
@@ -90,20 +89,6 @@ class EvalResult:
             "std_error": float(self.std_error),
             "per_rep": [float(v) for v in self.per_rep],
         }
-
-
-def _column_cdfs(mech: Mechanism) -> np.ndarray:
-    return np.cumsum(mech.matrix, axis=0)
-
-
-def sample_output(mech: Mechanism, j: int, rng: np.random.Generator) -> int:
-    """Draw one output for true count j by inverting the column CDF."""
-    if not 0 <= j <= mech.n:
-        raise InputOutOfRange(f"input {j} outside [0, {mech.n}]")
-    cdf = np.cumsum(mech.matrix[:, j])
-    u = rng.random()
-    k = int(np.count_nonzero(cdf <= u))
-    return min(k, mech.n)
 
 
 def binomial_population(total: int, n: int, p: float,
@@ -231,7 +216,7 @@ def _run_reps(mech: Mechanism, groups: GroupCounts, cfg: EvalConfig, stat) -> Ev
             f"mechanism size {mech.n} does not match group size {groups.n}")
     if groups.num_groups == 0:
         raise ValueError(f"no complete group of {groups.n} to evaluate")
-    cdf = _column_cdfs(mech)
+    cdf = np.cumsum(mech.matrix, axis=0)
     per_rep = []
     for r in range(cfg.reps):
         rng = substream(cfg.seed, r)

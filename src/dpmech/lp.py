@@ -21,13 +21,14 @@ import numpy as np
 from .core import (
     _EQUALITIES,
     PROPERTIES,
+    TOL,
     Mechanism,
     Objective,
     _check_alpha,
     _distance_mask,
     _sides,
 )
-from .errors import LpInternalError, NumericalInstability, UnsupportedObjective
+from .errors import LpInternalError, NumericalInstability
 
 REL_LE = -1
 REL_EQ = 0
@@ -38,8 +39,6 @@ _REL_TEXT = {REL_LE: "<=", REL_EQ: "==", REL_GE: ">="}
 _FEAS_TOL = 1e-7
 _RC_TOL = 1e-10
 _PIVOT_TOL = 1e-12
-#: largest constraint violation an ``optimal`` answer may carry
-_CERT_TOL = 1e-9
 #: degenerate pivots in a row before pricing switches to Bland's rule for good
 _BLAND_AFTER = 100
 _MAX_ITER = 200_000
@@ -83,13 +82,24 @@ class LinearProgram:
         return self.b.size
 
     def dump(self, fh) -> None:
-        """Plain-text dump, one constraint per line: coefficients, relation, rhs."""
-        fh.write("minimize " + " ".join(f"{v:.12f}" for v in self.c) + "\n")
-        for k in range(self.num_vars):
-            fh.write(f"bound x{k} {self.lo[k]:.12f} {self.hi[k]:.12f}\n")
-        for row, rel, rhs in zip(self.a, self.rel, self.b):
-            coeffs = " ".join(f"{v:.12f}" for v in row)
-            fh.write(f"{coeffs} {_REL_TEXT[int(rel)]} {rhs:.12f}\n")
+        """Plain-text dump whose size grows with the nonzeros, not the dense matrix.
+
+        One record per line, fields separated by single spaces; variables and
+        rows count from 0 and numbers are written with 17 significant digits::
+
+            minimize <num_vars> <num_constraints>   first line
+            c <var> <value>                          nonzero objective coefficient
+            bound <var> <lo> <hi>                    one per variable
+            row <row> <rel> <rhs>                    one per row, rel is <=, == or >=
+            a <row> <var> <value>                    nonzero constraint coefficient
+        """
+        fh.write(f"minimize {self.num_vars} {self.num_constraints}\n")
+        fh.writelines(f"c {k} {self.c[k]:.17g}\n" for k in np.flatnonzero(self.c))
+        fh.writelines(f"bound {k} {lo:.17g} {hi:.17g}\n"
+                      for k, (lo, hi) in enumerate(zip(self.lo, self.hi)))
+        fh.writelines(f"row {r} {_REL_TEXT[int(rel)]} {rhs:.17g}\n"
+                      for r, (rel, rhs) in enumerate(zip(self.rel, self.b)))
+        fh.writelines(f"a {r} {k} {self.a[r, k]:.17g}\n" for r, k in zip(*np.nonzero(self.a)))
 
 
 @dataclass(eq=False)
@@ -123,8 +133,6 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 
 def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     """LP whose optimum is a minimal-cost private mechanism with the given properties."""
-    if obj.aggregator != "sum":
-        raise UnsupportedObjective("the LP route only supports the sum aggregator")
     alpha = _check_alpha(alpha)
     if n < 1 or int(n) != n:
         raise ValueError(f"group size must be an integer >= 1, got {n}")
@@ -366,9 +374,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             pass
     x = x_std[:nv] + lp.lo
     violation = max_violation(lp, x)
-    if not violation <= _CERT_TOL:
+    if not violation <= TOL:
         raise NumericalInstability(
-            f"simplex point breaks a constraint by {violation:.3g} (limit {_CERT_TOL:g})")
+            f"simplex point breaks a constraint by {violation:.3g} (limit {TOL:g})")
     return LpSolution(
         status=STATUS_OPTIMAL,
         values=x,

@@ -80,9 +80,11 @@ def test_design_dump_lp_writes_rows_and_designs(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["WH"]
     lines = dump.read_text().splitlines()
-    assert lines[0].startswith("minimize ")
+    assert lines[0] == "minimize 9 18"
     # 9 bounds, 3 column sums, 12 privacy rows, 3 weak-honesty rows
-    assert len(lines) == 1 + 9 + 3 + 12 + 3
+    assert sum(1 for ln in lines if ln.startswith("bound ")) == 9
+    rows = [ln.split()[2] for ln in lines if ln.startswith("row ")]
+    assert rows == ["=="] * 3 + [">="] * (12 + 3)
     assert read_mechanism_csv(out)[0].n == 2
 
 
@@ -93,3 +95,50 @@ def test_design_unwritable_dump_lp_exits_1(tmp_path, capsys):
     assert code == cli.EXIT_SOLVER
     _error_only(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "2,0.5\n" + "nan,0.5,0.5\n" * 3,
+    "0,NA\n1\n",
+])
+def test_analyze_bad_mechanism_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    code = cli.main(["analyze", "--in", str(path)])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+
+
+def test_design_nan_weights_exits_2(tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("nan nan nan nan\n")
+    out = tmp_path / "m.csv"
+    code = cli.main(["design", "--mechanism", "gm", "--n", "3", "--alpha", "0.5",
+                     "--weights", str(weights), "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, flag", [
+    ("2,0.5", ["--alpha", "1.5"]),
+    ("2,0.5", ["--alpha", "0"]),
+    ("2,7", []),
+    ("2,nan", []),
+])
+def test_analyze_alpha_out_of_range_exits_2(tmp_path, capsys, header, flag):
+    path = tmp_path / "m.csv"
+    path.write_text(header + "\n" + "0.25,0.25,0.25\n0.5,0.5,0.5\n0.25,0.25,0.25\n")
+    code = cli.main(["analyze", "--in", str(path), *flag])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+
+
+def test_analyze_prints_one_json_document(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    write_mechanism_csv(uniform(3), path, alpha=1.0)
+    code = cli.main(["analyze", "--in", str(path)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 3 and doc["alpha"] == 1.0 and doc["gm_derivable"] is True
+    assert doc["l0"] == doc["l0d.1"] == pytest.approx(1.0, abs=1e-12)

@@ -41,7 +41,7 @@ from dpmech.errors import (
 )
 
 
-def brute_objective(matrix, p, weights, d=0, rescale=False, aggregator="sum"):
+def brute_objective(matrix, p, weights, d=0, rescale=False):
     """Independent loop-based oracle for the objective semantics."""
     n = len(matrix) - 1
     d_eff = max(d, 1) if p == 0 else d
@@ -52,10 +52,7 @@ def brute_objective(matrix, p, weights, d=0, rescale=False, aggregator="sum"):
             if abs(i - j) >= d_eff:
                 s += matrix[i][j] * (abs(i - j) ** p if p else 1.0)
         per_col.append(s)
-    if aggregator == "sum":
-        val = sum(w * s for w, s in zip(weights, per_col))
-    else:
-        val = max(per_col)
+    val = sum(w * s for w, s in zip(weights, per_col))
     return val * ((n + 1) / n) if rescale else val
 
 
@@ -82,6 +79,14 @@ class TestNewMechanism:
     def test_entry_out_of_range(self):
         with pytest.raises(EntryOutOfRange):
             new_mechanism(1, [[1.5, 0.5], [-0.5, 0.5]])
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(EntryOutOfRange, match="nan"):
+            new_mechanism(2, [[np.nan, 0.5, 0.5]] * 3)
+        with pytest.raises(EntryOutOfRange, match="nan"):
+            Mechanism([[0.5, np.nan], [0.5, np.nan]])
+        with pytest.raises(EntryOutOfRange):
+            Mechanism([[np.inf, 0.5], [-np.inf, 0.5]])
 
     def test_tolerance_slack_accepted(self):
         m = new_mechanism(1, [[0.5 + 4e-10, 0.5], [0.5 - 4e-10, 0.5]])
@@ -192,19 +197,17 @@ class TestObjectiveValue:
             w /= w.sum()
             p = int(rng.integers(0, 3))
             d = int(rng.integers(0, n + 1))
-            agg = "sum" if rng.random() < 0.7 else "max"
-            obj = Objective(p=p, weights=w, d=d, aggregator=agg,
-                            rescale=bool(rng.random() < 0.5))
-            expected = brute_objective(m.matrix, p, w, d, obj.rescale, agg)
+            obj = Objective(p=p, weights=w, d=d, rescale=bool(rng.random() < 0.5))
+            expected = brute_objective(m.matrix, p, w, d, obj.rescale)
             assert objective_value(m, obj) == pytest.approx(expected, abs=1e-12)
 
-    def test_max_aggregator_ignores_weights(self):
-        m = uniform(2)
-        skew = np.array([0.8, 0.1, 0.1])
-        val_skew = objective_value(m, Objective(p=1, weights=skew, aggregator="max"))
-        val_unif = objective_value(m, Objective(p=1, weights=uniform_weights(2),
-                                                aggregator="max"))
-        assert val_skew == val_unif == pytest.approx(1.0)
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ValueError):
+            Objective(p=0, weights=[np.nan] * 4)
+        with pytest.raises(ValueError):
+            Objective(p=1, weights=[np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            Objective(p=1, weights=[np.inf, 0.5, 0.5])
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionMismatch):
@@ -252,10 +255,22 @@ class TestL0Score:
                 objective_value(m, l0_objective(n)), abs=1e-12)
 
     def test_l0d_score_agrees_with_brute(self, rng):
-        m = random_mechanism(rng, 5)
-        for d in range(0, 6):
-            expected = brute_objective(m.matrix, 0, uniform_weights(5), d=d, rescale=True)
-            assert l0d_score(m, d) == pytest.approx(expected, abs=1e-12)
+        for n in (1, 2, 5, 9):
+            pool = [random_mechanism(rng, n), geometric(n, 0.62), explicit_fair(n, 0.3),
+                    uniform(n), new_mechanism(n, np.eye(n + 1))]
+            for m in pool:
+                for d in range(0, n + 1):
+                    expected = brute_objective(m.matrix, 0, uniform_weights(n), d=d,
+                                               rescale=True)
+                    assert l0d_score(m, d) == pytest.approx(expected, abs=1e-12)
+
+    def test_l0d_score_errors(self):
+        with pytest.raises(UndefinedForN0):
+            l0d_score(Mechanism([[1.0]]), 0)
+        with pytest.raises(ValueError):
+            l0d_score(uniform(3), -1)
+        with pytest.raises(DimensionMismatch):
+            l0d_score(uniform(3), 4)
 
 
 class TestSymmetrize:

@@ -31,7 +31,7 @@ from dpmech import (
     uniform,
     uniform_weights,
 )
-from dpmech.errors import LpInternalError, NumericalInstability, UnsupportedObjective
+from dpmech.errors import LpInternalError, NumericalInstability
 from dpmech.lp import (
     REL_EQ,
     REL_GE,
@@ -82,21 +82,27 @@ class TestBuildLp:
         with_f = build_lp(2, 0.5, {"F"}, l0_objective(2))
         assert with_f.num_constraints - base.num_constraints == 2
 
-    def test_max_aggregator_rejected(self):
-        obj = Objective(p=1, weights=uniform_weights(2), aggregator="max")
-        with pytest.raises(UnsupportedObjective):
-            build_lp(2, 0.5, frozenset(), obj)
-
     def test_dump_format(self, tmp_path):
         lp = build_lp(1, 0.5, {"WH"}, l0_objective(1))
         path = tmp_path / "lp.txt"
         with open(path, "w") as fh:
             lp.dump(fh)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("minimize ")
+        assert lines[0] == "minimize 4 8"
         assert sum(1 for ln in lines if ln.startswith("bound ")) == 4
-        assert sum(1 for ln in lines if " >= " in ln and not ln.startswith("bound")) == 6
-        assert sum(1 for ln in lines if " == " in ln) == 2
+        assert sum(1 for ln in lines if ln.startswith("row ") and " >= " in ln) == 6
+        assert sum(1 for ln in lines if ln.startswith("row ") and " == " in ln) == 2
+        # one line per nonzero, and the lines rebuild the LP exactly
+        c = np.zeros(lp.num_vars)
+        a = np.zeros_like(lp.a)
+        for ln in lines:
+            kind, *fields = ln.split()
+            if kind == "c":
+                c[int(fields[0])] = float(fields[1])
+            elif kind == "a":
+                a[int(fields[0]), int(fields[1])] = float(fields[2])
+        assert sum(1 for ln in lines if ln.startswith("a ")) == np.count_nonzero(lp.a)
+        assert np.array_equal(c, lp.c) and np.array_equal(a, lp.a)
 
 
 class TestSharedDefinitions:
