@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, core, evaluate, explicit, lp
-from .errors import DpMechError, LpInternalError, NumericalInstability
+from .errors import AlphaOutOfRange, DpMechError, LpInternalError, NumericalInstability
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -159,7 +159,10 @@ def _cmd_evaluate(args) -> int:
                 return _fail(EXIT_FLAGS, "--data csv requires --csv and --predicate")
             try:
                 column, pred = evaluate.parse_predicate(args.predicate)
-            except ValueError:
+            except ValueError as exc:
+                # only a spec with no operator may name a 0/1 column
+                if any(op in args.predicate for op in evaluate._PREDICATE_OPS):
+                    return _fail(EXIT_FLAGS, str(exc))
                 column, pred = args.predicate.strip(), None
             groups = evaluate.ingest_groups(args.csv, column, args.group_size,
                                             predicate=pred)
@@ -256,6 +259,11 @@ def main(argv=None) -> int:
     needs_alpha = args.command == "design" and args.mechanism in ("lp", "gm", "em")
     if needs_alpha and args.alpha is None:
         return _fail(EXIT_FLAGS, f"--alpha is required for --mechanism {args.mechanism}")
+    if getattr(args, "alpha", None) is not None:
+        try:
+            core._check_alpha(args.alpha)
+        except AlphaOutOfRange as exc:
+            return _fail(EXIT_FLAGS, str(exc))
     return args.func(args)
 
 

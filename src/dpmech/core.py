@@ -281,7 +281,7 @@ def symmetrize(mech: Mechanism) -> Mechanism:
 # ---------------------------------------------------------------------------
 # mechanism CSV format
 # ---------------------------------------------------------------------------
-# line 1: "n,alpha" with alpha = NA when unknown; then n+1 rows of n+1
+# line 1: "n,alpha" with alpha in (0, 1], or NA when unknown; then n+1 rows of n+1
 # comma-separated probabilities, 17 significant digits (exact round trip).
 # Row index = output i, column index = input j.
 
@@ -290,7 +290,9 @@ def _fmt(x: float) -> str:
 
 
 def write_mechanism_csv(mech: Mechanism, path, alpha: float | None = None) -> None:
-    lines = [f"{mech.n},{'NA' if alpha is None else _fmt(float(alpha))}"]
+    if alpha is not None:
+        alpha = _check_alpha(alpha)
+    lines = [f"{mech.n},{'NA' if alpha is None else _fmt(alpha)}"]
     for row in mech.matrix:
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
@@ -314,9 +316,10 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
         alpha = None
     else:
         try:
-            alpha = float(head[1])
-        except ValueError:
-            raise ParseError(f"{path}: line 1: bad alpha {head[1]!r}") from None
+            alpha = _check_alpha(float(head[1]))
+        except (ValueError, AlphaOutOfRange):
+            raise ParseError(f"{path}: line 1: bad alpha {head[1]!r}; "
+                             "expected NA or a value in (0, 1]") from None
     if len(lines) != n + 2:
         raise ParseError(f"{path}: expected {n + 1} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -4,6 +4,14 @@ Randomness is built on numpy's PCG64.  Repetition ``r`` of an experiment
 draws from a generator seeded with ``mix64(seed, r)`` -- a splitmix64
 finalizer applied to ``seed + (r+1) * golden-gamma`` -- so results are
 independent of execution order and bit-reproducible across platforms.
+
+Draw rule: a group with true count c and uniform draw u in [0, 1) outputs
+the number of entries of column c's CDF (the cumulative sum over outputs,
+with negative entries clipped to 0) that are <= u, capped at n.  Each draw
+finds that number by bisection over the column, O(log n) per group.  On the
+committed benchmark digests (GM and EM, n in {10, 100, 400}, 8 seeds) the
+outputs are bit-identical to the earlier sampler, which compared all n+1
+CDF entries of every group.
 """
 
 from __future__ import annotations
@@ -146,7 +154,10 @@ def parse_predicate(spec: str):
                 return cell.strip() == raw
         return column, pred
 
-    target = float(raw)
+    try:
+        target = float(raw)
+    except ValueError:
+        raise ValueError(f"predicate {spec!r}: value {raw!r} is not a number") from None
     compare = {
         "<": lambda v: v < target,
         "<=": lambda v: v <= target,
@@ -216,14 +227,27 @@ def _run_reps(mech: Mechanism, groups: GroupCounts, cfg: EvalConfig, stat) -> Ev
             f"mechanism size {mech.n} does not match group size {groups.n}")
     if groups.num_groups == 0:
         raise ValueError(f"no complete group of {groups.n} to evaluate")
-    cdf = np.cumsum(mech.matrix, axis=0)
+    n = mech.n
+    # row c of the table is the CDF of column c, padded with +inf to a power
+    # of two so the bisection below needs no bounds check; entries down to
+    # -TOL pass validation, so they are clipped to keep every row sorted
+    width = 1 << (n + 1).bit_length()
+    table = np.full((n + 1, width), np.inf)
+    table[:, :n + 1] = np.cumsum(np.maximum(mech.matrix, 0.0), axis=0).T
+    flat = table.ravel()
+    start = groups.counts * width
     per_rep = []
     for r in range(cfg.reps):
         rng = substream(cfg.seed, r)
         u = rng.random(groups.num_groups)
-        # inverse CDF per group; the last bucket absorbs rounding slack
-        outputs = np.minimum((cdf[:, groups.counts] <= u[None, :]).sum(axis=0),
-                             mech.n).astype(np.int64)
+        # branchless bisection: pos - start ends as the number of CDF entries
+        # <= u; the cap at n lets the last bucket absorb rounding slack
+        pos = start.copy()
+        step = width >> 1
+        while step:
+            pos += step * (flat[pos + (step - 1)] <= u)
+            step >>= 1
+        outputs = np.minimum(pos - start, n)
         per_rep.append(float(stat(outputs, groups.counts)))
     arr = np.asarray(per_rep)
     std_error = float(arr.std(ddof=1) / np.sqrt(cfg.reps)) if cfg.reps > 1 else 0.0

@@ -12,6 +12,7 @@ def _error_only(capsys):
     assert captured.out == ""
     assert captured.err.startswith("dpmech: error: ")
     assert len(captured.err.splitlines()) == 1
+    return captured.err
 
 
 def test_design_solver_failure_exits_1(tmp_path, capsys):
@@ -142,3 +143,24 @@ def test_analyze_prints_one_json_document(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 3 and doc["alpha"] == 1.0 and doc["gm_derivable"] is True
     assert doc["l0"] == doc["l0d.1"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_design_uniform_rejects_bad_alpha(tmp_path, capsys):
+    out = tmp_path / "um.csv"
+    code = cli.main(["design", "--mechanism", "um", "--n", "3", "--alpha", "1.5",
+                     "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("predicate", ["age<=abc", "age>abc"])
+def test_evaluate_non_numeric_predicate_value_exits_2(tmp_path, capsys, predicate):
+    mech = tmp_path / "m.csv"
+    write_mechanism_csv(uniform(1), mech, alpha=1.0)
+    data = tmp_path / "people.csv"
+    data.write_text("age\n30\n40\n")
+    code = cli.main(["evaluate", "--mech", str(mech), "--data", "csv", "--csv", str(data),
+                     "--predicate", predicate, "--group-size", "1"])
+    assert code == cli.EXIT_FLAGS
+    assert "'abc'" in _error_only(capsys)

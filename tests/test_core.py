@@ -33,6 +33,7 @@ from dpmech import (
     write_mechanism_csv,
 )
 from dpmech.errors import (
+    AlphaOutOfRange,
     ColumnSumError,
     DimensionMismatch,
     EntryOutOfRange,
@@ -116,8 +117,6 @@ class TestIsDp:
                 assert is_dp(mech, weaker)
 
     def test_alpha_validation(self):
-        from dpmech.errors import AlphaOutOfRange
-
         with pytest.raises(AlphaOutOfRange):
             is_dp(uniform(2), 0.0)
         with pytest.raises(AlphaOutOfRange):
@@ -324,6 +323,16 @@ class TestMechanismCsv:
         write_mechanism_csv(uniform(2), path)
         _, alpha = read_mechanism_csv(path)
         assert alpha is None
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, float("nan")])
+    def test_alpha_out_of_range_neither_written_nor_read(self, tmp_path, alpha):
+        path = tmp_path / "m.csv"
+        with pytest.raises(AlphaOutOfRange):
+            write_mechanism_csv(uniform(2), path, alpha=alpha)
+        assert not path.exists()
+        path.write_text(f"2,{alpha}\n" + "0.25,0.25,0.25\n0.5,0.5,0.5\n0.25,0.25,0.25\n")
+        with pytest.raises(ParseError, match="line 1: bad alpha"):
+            read_mechanism_csv(path)
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"

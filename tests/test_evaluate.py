@@ -8,10 +8,13 @@ from dpmech import (
     GroupCounts,
     empirical_l0d,
     empirical_rmse,
+    evaluate,
+    explicit_fair,
     geometric,
     ingest_groups,
     new_mechanism,
     parse_predicate,
+    uniform,
 )
 from dpmech.errors import ParseError, UnknownColumn
 
@@ -51,6 +54,10 @@ class TestParsePredicate:
     def test_malformed(self, spec):
         with pytest.raises(ValueError):
             parse_predicate(spec)
+
+    def test_non_numeric_value_is_named(self):
+        with pytest.raises(ValueError, match="'abc'"):
+            parse_predicate("age<=abc")
 
 
 class TestIngestGroups:
@@ -99,3 +106,110 @@ class TestEmpiricalMetrics:
         result = metric(new_mechanism(4, np.eye(5)), groups, EvalConfig(reps=3, seed=0))
         assert result.per_rep == [0.0, 0.0, 0.0]
         assert result.mean == 0.0 and result.std_error == 0.0
+
+
+def _sampled_outputs(mech, counts, reps=3, seed=5):
+    """The outputs of every draw of _run_reps, captured by a recording stat."""
+    seen = []
+
+    def record(outputs, true):
+        seen.append(outputs.copy())
+        return 0.0
+
+    groups = GroupCounts(n=mech.n, counts=counts)
+    evaluate._run_reps(mech, groups, EvalConfig(reps=reps, seed=seed), record)
+    return seen
+
+
+def _dense_outputs(matrix, counts, draws):
+    """Oracle: compare every CDF entry of the group's column with its draw."""
+    n = matrix.shape[0] - 1
+    cdf = np.cumsum(matrix, axis=0)
+    return [np.minimum((cdf[:, counts] <= u[None, :]).sum(axis=0), n).astype(np.int64)
+            for u in draws]
+
+
+def _random_mechanism(n, seed):
+    m = np.random.default_rng(seed).random((n + 1, n + 1))
+    return new_mechanism(n, m / m.sum(axis=0))
+
+
+class _FixedDraws:
+    """Stands in for a generator: random(size) returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+class TestSampler:
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 31, 62, 63, 400])
+    def test_matches_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        size = 3000
+        count_sets = {
+            "zeros": np.zeros(size, np.int64),
+            "all n": np.full(size, n, np.int64),
+            "skewed": np.minimum(rng.geometric(0.5, size) - 1, n),
+            "binomial": rng.binomial(n, 0.5, size),
+        }
+        mechs = {
+            "gm": geometric(n, 0.9),
+            "em": explicit_fair(n, 0.9),
+            "uniform": uniform(n),
+            "identity": new_mechanism(n, np.eye(n + 1)),
+            "random-1": _random_mechanism(n, 1),
+            "random-2": _random_mechanism(n, 2),
+        }
+        for mech_name, mech in mechs.items():
+            for count_name, counts in count_sets.items():
+                draws = [evaluate.substream(5, r).random(size) for r in range(3)]
+                got = _sampled_outputs(mech, counts)
+                want = _dense_outputs(mech.matrix, counts, draws)
+                for r in range(3):
+                    assert got[r].dtype == np.int64
+                    assert np.array_equal(got[r], want[r]), (mech_name, count_name, r)
+
+    def _with_draws(self, monkeypatch, mech, counts, values):
+        monkeypatch.setattr(evaluate, "substream", lambda seed, k: _FixedDraws(values))
+        return _sampled_outputs(mech, np.asarray(counts), reps=1)[0]
+
+    def test_ties_and_edges(self, monkeypatch):
+        # columns: CDFs (1/4, 1/2, 1, 1), (0, 1/2, 3/4, 1), (0, 0, 0, 1) and
+        # (1/2, 1 - 2**-31, 1 - 2**-31, 1 - 2**-31), whose last entry sits below
+        # every u near 1 so the cap at n decides
+        short = 2.0 ** -31
+        matrix = np.array([[0.25, 0.0, 0.0, 0.5],
+                           [0.25, 0.5, 0.0, 0.5 - short],
+                           [0.5, 0.25, 0.0, 0.0],
+                           [0.0, 0.25, 1.0, 0.0]])
+        mech = new_mechanism(3, matrix)
+        top = np.nextafter(1.0, 0.0)
+        cases = [  # (true count, u, expected output)
+            (0, 0.0, 0), (0, 0.25, 1), (0, 0.5, 2), (0, 0.75, 2), (0, top, 2),
+            (1, 0.0, 1), (1, 0.5, 2), (1, 0.75, 3), (1, top, 3),
+            (2, 0.0, 3), (2, 0.5, 3), (2, top, 3),
+            (3, 0.0, 0), (3, 0.5, 1), (3, 1.0 - short, 3), (3, top, 3),
+        ]
+        counts = [c for c, _, _ in cases]
+        values = [u for _, u, _ in cases]
+        got = self._with_draws(monkeypatch, mech, counts, values)
+        assert got.tolist() == [want for _, _, want in cases]
+        oracle = _dense_outputs(matrix, np.asarray(counts), [np.asarray(values)])[0]
+        assert np.array_equal(got, oracle)
+
+    def test_negative_entry_is_clipped(self, monkeypatch):
+        tiny = 5e-10
+        matrix = np.array([[0.5 + tiny, 0.25, 0.0],
+                           [-tiny, 0.25, 0.5],
+                           [0.5, 0.5, 0.5]])
+        mech = new_mechanism(2, matrix)
+        values = np.array([0.0, 0.5, 0.5 + tiny, 0.75, np.nextafter(1.0, 0.0)] * 3)
+        counts = np.repeat([0, 1, 2], 5)
+        got = self._with_draws(monkeypatch, mech, counts, values)
+        assert got.min() >= 0 and got.max() <= 2
+        clipped = _dense_outputs(np.maximum(matrix, 0.0), counts, [values])[0]
+        assert np.array_equal(got, clipped)
