@@ -12,6 +12,7 @@ from .core import (
     TOL,
     Mechanism,
     _check_alpha,
+    _check_props,
     _tail_costs,
     check_property,
     is_dp,
@@ -66,10 +67,7 @@ def select_strategy(n: int, alpha: float, props) -> SelectionResult:
     wrong-answer cost: the fair mechanism, the geometric mechanism, or an LP
     solve with weak honesty (alone, or with the column constraints)."""
     alpha = _check_alpha(alpha)
-    props = frozenset(props)
-    for p in props:
-        if p not in PROPERTIES:
-            raise ValueError(f"unknown property {p!r}")
+    props = _check_props(props)
     if "F" in props:
         return SelectionResult(
             USE_EM, "fairness requested; the explicit fair mechanism is the "

@@ -24,22 +24,16 @@ EXIT_DATA = 3
 
 
 def _parse_props(text: str) -> frozenset:
-    """Comma-separated property names; accepts the wm-weak/wm-column aliases."""
+    """Comma-separated property names, in any letter case."""
     out: set = set()
     for tok in (text or "").split(","):
         t = tok.strip()
         if not t:
             continue
-        if t.upper() in core.PROPERTIES:
-            out.add(t.upper())
-        elif t.lower() == "wm-weak":
-            out.add("WH")
-        elif t.lower() == "wm-column":
-            out.update({"WH", "RM", "CM"})
-        else:
+        if t.upper() not in core.PROPERTIES:
             raise argparse.ArgumentTypeError(
-                f"unknown property {t!r}; expected {'/'.join(core.PROPERTIES)} "
-                "or wm-weak / wm-column")
+                f"unknown property {t!r}; expected {'/'.join(core.PROPERTIES)}")
+        out.add(t.upper())
     return frozenset(out)
 
 
@@ -202,8 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="group size (>= 1)")
     p.add_argument("--alpha", type=float, default=None, help="privacy level")
     p.add_argument("--props", type=_parse_props, default=frozenset(),
-                   help="comma-separated property list (RH,RM,CH,CM,F,WH,S, "
-                        "wm-weak, wm-column)")
+                   help="comma-separated property list (RH,RM,CH,CM,F,WH,S)")
     p.add_argument("--objective", choices=("l0", "l1", "l2", "l0d"), default="l0")
     p.add_argument("--d", type=int, default=0, help="tail offset for l0d")
     p.add_argument("--weights", default="uniform",

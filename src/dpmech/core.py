@@ -41,6 +41,22 @@ def _check_alpha(alpha: float, *, open_top: bool = False) -> float:
     return alpha
 
 
+def _check_n(n: int) -> int:
+    """Validate a group size: an integer >= 1."""
+    if n < 1 or int(n) != n:
+        raise ValueError(f"group size must be an integer >= 1, got {n}")
+    return int(n)
+
+
+def _check_props(props) -> frozenset:
+    """Validate property names; returns them as a frozenset."""
+    props = frozenset(props)
+    for p in props:
+        if p not in PROPERTIES:
+            raise ValueError(f"unknown property {p!r}")
+    return props
+
+
 class Mechanism:
     """Validated, immutable column-stochastic mechanism matrix."""
 
@@ -139,10 +155,7 @@ def check_property(mech: Mechanism, prop: str) -> bool:
 
 def implied_properties(props) -> frozenset:
     """Close a property set under RM=>RH, CM=>CH and CH=>WH."""
-    out = set(props)
-    for p in out:
-        if p not in PROPERTIES:
-            raise ValueError(f"unknown property {p!r}")
+    out = set(_check_props(props))
     if "RM" in out:
         out.add("RH")
     if "CM" in out:

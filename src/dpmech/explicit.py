@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Mechanism, _check_alpha, new_mechanism
+from .core import Mechanism, _check_alpha, _check_n, new_mechanism
 from .errors import AlphaOutOfRange
 
 __all__ = [
@@ -37,12 +37,6 @@ def _powers(alpha: float, count: int) -> np.ndarray:
         pows[k] = acc
         acc *= alpha
     return pows
-
-
-def _check_n(n: int) -> int:
-    if n < 1 or int(n) != n:
-        raise ValueError(f"group size must be an integer >= 1, got {n}")
-    return int(n)
 
 
 def geometric(n: int, alpha: float) -> Mechanism:

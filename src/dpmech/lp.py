@@ -1,15 +1,15 @@
 """Linear-program construction and a dense two-phase primal simplex solver.
 
 ``build_lp`` encodes the feasible region of alpha-private mechanisms --
-per-entry probability bounds, column-sum equalities and the adjacent-column
-ratio inequalities -- plus one linear row per requested structural property,
-over variables rho[i, j] flattened row-major as i*(n+1)+j.
+column-sum equalities and the adjacent-column ratio inequalities over
+nonnegative variables -- plus one linear row per requested structural
+property, over variables rho[i, j] flattened row-major as i*(n+1)+j.
 
 ``solve_lp`` is deliberately self-contained (dense numpy tableau, Dantzig
 pricing with a permanent switch to Bland's rule after a degenerate streak,
-pivot magnitude threshold 1e-12, final basis re-solve for a clean vertex).
-It reports ``optimal`` only for a point that satisfies every row and bound
-within 1e-9.
+pivot magnitude threshold 1e-7).  It reports ``optimal`` only for the
+vertex the pivots reached, and only when that point satisfies every row and
+bound within 1e-9.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .core import (
     Mechanism,
     Objective,
     _check_alpha,
+    _check_n,
+    _check_props,
     _distance_mask,
     _sides,
 )
@@ -38,7 +40,9 @@ _REL_TEXT = {REL_LE: "<=", REL_EQ: "==", REL_GE: ">="}
 
 _FEAS_TOL = 1e-7
 _RC_TOL = 1e-10
-_PIVOT_TOL = 1e-12
+#: tableau entries at or below this are roundoff, never pivots: pivoting on
+#: one of 1e-12 blows the tableau up to 1e16 and ends at a wrong vertex
+_PIVOT_TOL = 1e-7
 #: degenerate pivots in a row before pricing switches to Bland's rule for good
 _BLAND_AFTER = 100
 _MAX_ITER = 200_000
@@ -134,18 +138,14 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     """LP whose optimum is a minimal-cost private mechanism with the given properties."""
     alpha = _check_alpha(alpha)
-    if n < 1 or int(n) != n:
-        raise ValueError(f"group size must be an integer >= 1, got {n}")
+    n = _check_n(n)
     size = n + 1
     nv = size * size
     if obj.weights.size != size:
         raise ValueError(f"objective weights have length {obj.weights.size}, need {size}")
     if obj.d > n:
         raise ValueError(f"tail offset d={obj.d} exceeds n={n}")
-    props = frozenset(props)
-    for p in props:
-        if p not in PROPERTIES:
-            raise ValueError(f"unknown property {p!r}")
+    props = _check_props(props)
 
     # each block is the rows x[p] - k*x[q] {rel} rhs, one per (p, q) pair;
     # the two privacy directions of an adjacent pair stay next to each other
@@ -186,7 +186,8 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         rel=rel,
         b=b,
         lo=np.zeros(nv),
-        hi=np.ones(nv),
+        # no x <= 1 bound: x >= 0 and the column sums already cap every cell at 1
+        hi=np.full(nv, np.inf),
     )
 
 
@@ -205,9 +206,9 @@ def _pivot(T, basis, r, j):
     basis[r] = j
 
 
-def _simplex_iterate(T, basis, allowed, phase: str) -> bool:
-    """Pivot in place until no column below ``allowed`` prices out; returns
-    False when the objective is unbounded.
+def _simplex_iterate(T, basis, phase: str) -> bool:
+    """Pivot in place until no column prices out; returns False when the
+    objective is unbounded.
 
     Dantzig entering rule with a permanent switch to Bland's rule after a run
     of degenerate pivots; leaving row = min ratio, ties broken by the smallest
@@ -217,7 +218,7 @@ def _simplex_iterate(T, basis, allowed, phase: str) -> bool:
     bland = False
     streak = 0
     for _ in range(_MAX_ITER):
-        seg = T[m, :allowed]
+        seg = T[m, :-1]
         if bland:
             negs = np.nonzero(seg < -_RC_TOL)[0]
             if negs.size == 0:
@@ -232,7 +233,7 @@ def _simplex_iterate(T, basis, allowed, phase: str) -> bool:
         mask = colv > _PIVOT_TOL
         if not mask.any():
             if (colv > 0.0).any():
-                raise NumericalInstability(f"{phase} pivots fell below 1e-12")
+                raise NumericalInstability(f"{phase} pivots fell below {_PIVOT_TOL:g}")
             return False
         ratios = np.full(m, np.inf)
         ratios[mask] = T[:m, -1][mask] / colv[mask]
@@ -320,16 +321,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             basis[i] = art
             art += 1
 
-    A0 = T[:m, :ncols].copy()
-    b0 = b.copy()
-
     if n_art:
         T[m, art_start:ncols] = 1.0
         for i in range(m):
             if basis[i] >= art_start:
                 T[m, :] -= T[i, :]
         # the phase-1 objective is bounded below by 0
-        _simplex_iterate(T, basis, ncols, "phase-1")
+        _simplex_iterate(T, basis, "phase-1")
         if -T[m, -1] > _FEAS_TOL:
             return LpSolution(status=STATUS_INFEASIBLE)
         # drive leftover artificials out of the basis; rows where no
@@ -343,13 +341,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                     _pivot(T, basis, i, j)
                 else:
                     drop.append(i)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), drop)
-            T = np.vstack([T[keep], T[m:]])
-            basis = basis[keep]
-            A0 = A0[keep]
-            b0 = b0[keep]
-            m = len(keep)
+        # no artificial is basic any more, so phase 2 never needs their columns
+        keep = np.setdiff1d(np.arange(m + 1), drop)
+        T = T[np.ix_(keep, np.r_[:art_start, ncols])]
+        basis = basis[keep[:-1]]
+        m = basis.size
 
     # phase 2
     T[m, :] = 0.0
@@ -358,20 +354,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         cb = T[m, basis[i]]
         if cb != 0.0:
             T[m, :] -= cb * T[i, :]
-    if not _simplex_iterate(T, basis, art_start, "phase-2"):
+    if not _simplex_iterate(T, basis, "phase-2"):
         return LpSolution(status=STATUS_UNBOUNDED)
 
-    x_std = np.zeros(ncols)
+    x_std = np.zeros(art_start)
     x_std[basis] = T[:m, -1]
-    if m:
-        # re-solve on the optimal basis to shed accumulated pivot roundoff
-        try:
-            xb = np.linalg.solve(A0[:, basis], b0)
-            if np.all(np.isfinite(xb)):
-                x_std[:] = 0.0
-                x_std[basis] = xb
-        except np.linalg.LinAlgError:
-            pass
     x = x_std[:nv] + lp.lo
     violation = max_violation(lp, x)
     if not violation <= TOL:

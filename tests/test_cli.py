@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dpmech import cli, read_mechanism_csv, uniform, write_mechanism_csv
+from dpmech import cli, lp, read_mechanism_csv, uniform, write_mechanism_csv
+from dpmech.errors import NumericalInstability
 
 
 def _error_only(capsys):
@@ -15,7 +16,11 @@ def _error_only(capsys):
     return captured.err
 
 
-def test_design_solver_failure_exits_1(tmp_path, capsys):
+def test_design_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def unstable(problem):
+        raise NumericalInstability("simplex point breaks a constraint by 1 (limit 1e-09)")
+
+    monkeypatch.setattr(lp, "solve_lp", unstable)
     out = tmp_path / "m.csv"
     code = cli.main(["design", "--n", "6", "--alpha", "0.3", "--props", "WH,CM",
                      "--out", str(out)])
@@ -23,6 +28,16 @@ def test_design_solver_failure_exits_1(tmp_path, capsys):
     assert code == cli.EXIT_SOLVER
     assert captured.out == ""
     assert captured.err.startswith("dpmech: error: ")
+    assert not out.exists()
+
+
+def test_design_rejects_retired_property_alias(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", "--n", "3", "--alpha", "0.6", "--props", "wm-column",
+                  "--out", str(out)])
+    assert exc.value.code == cli.EXIT_FLAGS
+    assert "unknown property 'wm-column'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """LP construction, the simplex solver and mechanism design."""
 
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,10 +32,10 @@ from dpmech import (
     uniform,
     uniform_weights,
 )
-from dpmech.errors import LpInternalError, NumericalInstability
 from dpmech.lp import (
     REL_EQ,
     REL_GE,
+    REL_LE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -61,7 +62,13 @@ class TestBuildLp:
         assert lp.num_vars == 4
         assert int((lp.rel == REL_EQ).sum()) == 2
         assert int((lp.rel == REL_GE).sum()) == 4
-        assert np.all(lp.lo == 0.0) and np.all(lp.hi == 1.0)
+        assert np.all(lp.lo == 0.0) and np.all(lp.hi == np.inf)
+        # x <= 1 is implied: every variable sits with coefficient 1 in exactly
+        # one column-sum row, whose other coefficients are 0 or 1 and rhs is 1
+        sums = lp.a[:2]
+        assert np.all(lp.rel[:2] == REL_EQ) and np.all(lp.b[:2] == 1.0)
+        assert np.all((sums == 0.0) | (sums == 1.0))
+        assert np.all(sums.sum(axis=0) == 1.0)
 
     def test_weak_honesty_rows(self):
         base = build_lp(2, 0.5, frozenset(), l0_objective(2))
@@ -207,6 +214,23 @@ class TestSolveLp:
             assert sol.objective_value == pytest.approx(
                 enumerate_optimum(lp), abs=1e-8)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_property_subset_matches_highs(self, n):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for size in range(len(PROPERTIES) + 1):
+            for props in combinations(PROPERTIES, size):
+                lp = build_lp(n, 0.62, frozenset(props), l0_objective(n))
+                le, ge, eq = (lp.rel == REL_LE), (lp.rel == REL_GE), (lp.rel == REL_EQ)
+                ref = linprog(lp.c, A_ub=np.vstack([lp.a[le], -lp.a[ge]]),
+                              b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+                              A_eq=lp.a[eq], b_eq=lp.b[eq],
+                              bounds=np.column_stack([lp.lo, lp.hi]), method="highs")
+                assert ref.status == 0, props
+                sol = solve_lp(lp)
+                assert sol.status == STATUS_OPTIMAL, props
+                assert max_violation(lp, sol.values) <= 1e-9, props
+                assert sol.objective_value == pytest.approx(ref.fun, abs=1e-9), props
+
 
 class TestDesignMechanism:
     def test_n1_gives_randomized_response(self):
@@ -250,12 +274,20 @@ class TestDesignMechanism:
             assert cost_a <= cost_b + 1e-8
 
     def test_sandwich_between_gm_and_em(self):
+        # at n=2 the column properties are free: both optima are the same
+        # fraction, so each is pinned to it rather than compared bit for bit
+        exact = {(2, 0.62): 74 / 93, (2, 0.9): 26 / 27}
         for n in (2, 4, 6):
             for a in (0.62, 0.9):
                 wh = l0_score(design_mechanism(n, a, {"WH"}, l0_objective(n)))
                 wm = l0_score(design_mechanism(n, a, {"WH", "RM", "CM"},
                                                l0_objective(n)))
-                assert gm_l0_cost(a) - 1e-8 <= wh <= wm <= em_l0_cost(n, a) + 1e-8
+                assert gm_l0_cost(a) - 1e-8 <= wh and wm <= em_l0_cost(n, a) + 1e-8
+                if n == 2:
+                    assert wh == pytest.approx(exact[n, a], abs=1e-12)
+                    assert wm == pytest.approx(exact[n, a], abs=1e-12)
+                else:
+                    assert wm - wh > 1e-4
 
     @pytest.mark.parametrize("n, alpha, props", [
         (5, 0.62, {"RH", "RM", "S"}),
@@ -265,14 +297,14 @@ class TestDesignMechanism:
         (3, 0.62, {"RM", "F", "S"}),
         (2, 0.62, {"CM", "F", "S"}),
         (4, 0.7, {"WH"}),
+        (4, 0.3, {"CH", "CM", "F"}),
+        (6, 0.3, {"CH", "S"}),
+        (8, 0.3, {"WH", "CM"}),
     ])
     def test_optimal_answer_is_certified(self, n, alpha, props):
-        # the simplex may fail on these, but only loudly: whatever it
-        # returns must be private and carry every requested property
-        try:
-            m = design_mechanism(n, alpha, props, l0_objective(n))
-        except (NumericalInstability, LpInternalError):
-            return
+        # LPs whose tableaux grow roundoff entries near 1e-12: each must
+        # solve, privately and with every requested property
+        m = design_mechanism(n, alpha, props, l0_objective(n))
         assert is_dp(m, alpha)
         for p in props:
             assert check_property(m, p), p
