@@ -12,6 +12,7 @@ from .core import (
     TOL,
     Mechanism,
     _check_alpha,
+    _check_n,
     _check_props,
     _tail_costs,
     check_property,
@@ -66,6 +67,7 @@ def select_strategy(n: int, alpha: float, props) -> SelectionResult:
     """Pick one of the four distinct ways to realise a property set at minimal
     wrong-answer cost: the fair mechanism, the geometric mechanism, or an LP
     solve with weak honesty (alone, or with the column constraints)."""
+    n = _check_n(n)
     alpha = _check_alpha(alpha)
     props = _check_props(props)
     if "F" in props:

@@ -46,6 +46,8 @@ def _load_weights(spec: str, n: int) -> np.ndarray:
 
 
 def _build_objective(name: str, n: int, d: int, weights: np.ndarray) -> core.Objective:
+    if d and name != "l0d":
+        raise ValueError(f"--d applies only to --objective l0d, not {name}")
     if name == "l0":
         return core.Objective(p=0, weights=weights, d=0, rescale=True)
     if name == "l0d":
@@ -140,15 +142,17 @@ def _cmd_evaluate(args) -> int:
     try:
         cfg = evaluate.EvalConfig(reps=args.reps, seed=args.seed, d=args.d,
                                   metric=args.metric)
-    except ValueError as exc:
-        return _fail(EXIT_FLAGS, str(exc))
-    try:
-        mech, _ = core.read_mechanism_csv(args.mech)
+        core._check_n(args.group_size)
+        # every input of the binomial population is a flag
         if args.data == "binomial":
             rng = evaluate.substream(args.seed, evaluate.DATA_STREAM)
             groups = evaluate.binomial_population(args.total, args.group_size,
                                                   args.p, rng)
-        else:
+    except (ValueError, DpMechError) as exc:
+        return _fail(EXIT_FLAGS, str(exc))
+    try:
+        mech, _ = core.read_mechanism_csv(args.mech)
+        if args.data == "csv":
             if not args.csv or not args.predicate:
                 return _fail(EXIT_FLAGS, "--data csv requires --csv and --predicate")
             try:

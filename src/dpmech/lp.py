@@ -7,9 +7,15 @@ property, over variables rho[i, j] flattened row-major as i*(n+1)+j.
 
 ``solve_lp`` is deliberately self-contained (dense numpy tableau, Dantzig
 pricing with a permanent switch to Bland's rule after a degenerate streak,
-pivot magnitude threshold 1e-7).  It reports ``optimal`` only for the
-vertex the pivots reached, and only when that point satisfies every row and
-bound within 1e-9.
+pivot magnitude threshold 1e-7).  The tableau keeps only the columns of the
+nonbasic variables plus the rhs: a basic variable's column is a unit vector,
+so it is never stored.  Two label arrays, ``basic`` and ``nonbasic``, name
+the variable of each row and column, in the order of the full tableau:
+structural, then one slack per <= or >= row, then one artificial per >= or
+== row.  A pivot hands the entering column over to the leaving variable, and
+every tie goes to the smallest label, so the pivots are those of the full
+tableau.  It reports ``optimal`` only for the vertex the pivots reached, and
+only when that point satisfies every row and bound within 1e-9.
 """
 
 from __future__ import annotations
@@ -195,39 +201,46 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
 # two-phase simplex
 # ---------------------------------------------------------------------------
 
-def _pivot(T, basis, r, j):
-    T[r, :] /= T[r, j]
-    T[r, j] = 1.0
+def _lowest(labels, idx):
+    """The entry of idx with the smallest label: the full tableau's first match."""
+    return int(idx[np.argmin(labels[idx])])
+
+
+def _pivot(T, basic, nonbasic, r, j):
+    """Swap the variable of column j into the basis at row r.
+
+    The leaving variable takes over column j with the entries a full tableau
+    would give its unit column: 1/p in row r, -factor * (1/p) in every other row.
+    """
+    p = T[r, j]
     factors = T[:, j].copy()
     factors[r] = 0.0
-    T -= np.outer(factors, T[r, :])
+    T[r, :] /= p
     T[:, j] = 0.0
-    T[r, j] = 1.0
-    basis[r] = j
+    T[r, j] = 1.0 / p
+    T -= np.outer(factors, T[r, :])
+    basic[r], nonbasic[j] = nonbasic[j], basic[r]
 
 
-def _simplex_iterate(T, basis, phase: str) -> bool:
+def _simplex_iterate(T, basic, nonbasic, phase: str) -> bool:
     """Pivot in place until no column prices out; returns False when the
     objective is unbounded.
 
     Dantzig entering rule with a permanent switch to Bland's rule after a run
-    of degenerate pivots; leaving row = min ratio, ties broken by the smallest
-    basic-variable index.
+    of degenerate pivots; leaving row = min ratio.  Every tie goes to the
+    smallest variable label, so the pivots are those of the full tableau.
     """
     m = T.shape[0] - 1
     bland = False
     streak = 0
     for _ in range(_MAX_ITER):
         seg = T[m, :-1]
-        if bland:
-            negs = np.nonzero(seg < -_RC_TOL)[0]
-            if negs.size == 0:
-                return True
-            j = int(negs[0])
-        else:
-            j = int(np.argmin(seg))
-            if seg[j] >= -_RC_TOL:
-                return True
+        cand = np.flatnonzero(seg < -_RC_TOL)
+        if cand.size == 0:
+            return True
+        if not bland:
+            cand = cand[seg[cand] == seg[cand].min()]
+        j = _lowest(nonbasic, cand)
 
         colv = T[:m, j]
         mask = colv > _PIVOT_TOL
@@ -238,8 +251,7 @@ def _simplex_iterate(T, basis, phase: str) -> bool:
         ratios = np.full(m, np.inf)
         ratios[mask] = T[:m, -1][mask] / colv[mask]
         best = ratios.min()
-        ties = np.nonzero(ratios == best)[0]
-        r = int(ties[np.argmin(basis[ties])])
+        r = _lowest(basic, np.flatnonzero(ratios == best))
 
         if best <= 1e-12:
             streak += 1
@@ -247,7 +259,7 @@ def _simplex_iterate(T, basis, phase: str) -> bool:
                 bland = True
         else:
             streak = 0
-        _pivot(T, basis, r, j)
+        _pivot(T, basic, nonbasic, r, j)
     raise NumericalInstability(f"{phase} iteration limit reached")
 
 
@@ -262,24 +274,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise ValueError("solve_lp requires finite lower bounds")
 
     # shift to z = x - lo >= 0 and fold finite upper bounds in as rows
-    a_rows = [lp.a] if lp.num_constraints else []
-    rel = [lp.rel.astype(np.int64)] if lp.num_constraints else []
-    b = [lp.b - lp.a @ lp.lo] if lp.num_constraints else []
-    finite_hi = np.nonzero(np.isfinite(lp.hi))[0]
-    if finite_hi.size:
-        ub = np.zeros((finite_hi.size, nv))
-        ub[np.arange(finite_hi.size), finite_hi] = 1.0
-        a_rows.append(ub)
-        rel.append(np.full(finite_hi.size, REL_LE, dtype=np.int64))
-        b.append(lp.hi[finite_hi] - lp.lo[finite_hi])
-    if a_rows:
-        A = np.vstack(a_rows)
-        rel = np.concatenate(rel)
-        b = np.concatenate(b)
-    else:
-        A = np.zeros((0, nv))
-        rel = np.zeros(0, dtype=np.int64)
-        b = np.zeros(0)
+    finite_hi = np.flatnonzero(np.isfinite(lp.hi))
+    A = np.vstack([lp.a, finite_hi[:, None] == np.arange(nv)])
+    rel = np.concatenate([lp.rel, np.full(finite_hi.size, REL_LE, dtype=np.int8)])
+    b = np.concatenate([lp.b - lp.a @ lp.lo, lp.hi[finite_hi] - lp.lo[finite_hi]])
 
     neg = b < 0
     A[neg] *= -1.0
@@ -290,76 +288,59 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     A[zero_ge] *= -1.0
     rel[zero_ge] = REL_LE
 
+    # variable labels: structural, one slack per <=/>= row, one artificial per
+    # >=/== row; a <= row starts on its slack, the others on their artificial
     m = A.shape[0]
-    is_le = rel == REL_LE
     is_ge = rel == REL_GE
-    is_eq = rel == REL_EQ
-    n_slack = int(is_le.sum() + is_ge.sum())
-    n_art = int(is_eq.sum() + is_ge.sum())
-    art_start = nv + n_slack
-    ncols = art_start + n_art
-
-    T = np.zeros((m + 1, ncols + 1))
+    slack = nv + np.cumsum(rel != REL_EQ) - 1
+    art_start = nv + int(np.count_nonzero(rel != REL_EQ))
+    art = art_start + np.cumsum(rel != REL_LE) - 1
+    basic = np.where(rel == REL_LE, slack, art)
+    nonbasic = np.concatenate([np.arange(nv), slack[is_ge]])
+    T = np.zeros((m + 1, nonbasic.size + 1))
     T[:m, :nv] = A
+    T[np.flatnonzero(is_ge), np.arange(nv, nonbasic.size)] = -1.0
     T[:m, -1] = b
-    basis = np.full(m, -1, dtype=np.int64)
-    s = nv
-    art = art_start
-    for i in range(m):
-        if is_le[i]:
-            T[i, s] = 1.0
-            basis[i] = s
-            s += 1
-        elif is_ge[i]:
-            T[i, s] = -1.0
-            s += 1
-            T[i, art] = 1.0
-            basis[i] = art
-            art += 1
-        else:
-            T[i, art] = 1.0
-            basis[i] = art
-            art += 1
 
-    if n_art:
-        T[m, art_start:ncols] = 1.0
-        for i in range(m):
-            if basis[i] >= art_start:
-                T[m, :] -= T[i, :]
+    art_rows = np.flatnonzero(basic >= art_start)
+    if art_rows.size:
+        for i in art_rows:
+            T[m, :] -= T[i, :]
         # the phase-1 objective is bounded below by 0
-        _simplex_iterate(T, basis, "phase-1")
+        _simplex_iterate(T, basic, nonbasic, "phase-1")
         if -T[m, -1] > _FEAS_TOL:
             return LpSolution(status=STATUS_INFEASIBLE)
         # drive leftover artificials out of the basis; rows where no
         # structural/slack pivot exists are redundant and get dropped
         drop = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                cand = np.abs(T[i, :art_start])
-                j = int(np.argmax(cand))
-                if cand[j] > _PIVOT_TOL:
-                    _pivot(T, basis, i, j)
-                else:
-                    drop.append(i)
+        for i in np.flatnonzero(basic >= art_start):
+            cand = np.flatnonzero(nonbasic < art_start)
+            mag = np.abs(T[i, cand])
+            best = mag.max(initial=0.0)
+            if best > _PIVOT_TOL:
+                _pivot(T, basic, nonbasic, i, _lowest(nonbasic, cand[mag == best]))
+            else:
+                drop.append(i)
         # no artificial is basic any more, so phase 2 never needs their columns
-        keep = np.setdiff1d(np.arange(m + 1), drop)
-        T = T[np.ix_(keep, np.r_[:art_start, ncols])]
-        basis = basis[keep[:-1]]
-        m = basis.size
+        cols = np.flatnonzero(nonbasic < art_start)
+        T = T[np.ix_(np.delete(np.arange(m + 1), drop), np.r_[cols, -1])]
+        basic = np.delete(basic, drop)
+        nonbasic = nonbasic[cols]
+        m = basic.size
 
     # phase 2
-    T[m, :] = 0.0
-    T[m, :nv] = lp.c
-    for i in range(m):
-        cb = T[m, basis[i]]
-        if cb != 0.0:
-            T[m, :] -= cb * T[i, :]
-    if not _simplex_iterate(T, basis, "phase-2"):
+    cost = np.concatenate([lp.c, np.zeros(art_start - nv)])
+    T[m, :-1] = cost[nonbasic]
+    T[m, -1] = 0.0
+    for i in np.flatnonzero(cost[basic]):
+        T[m, :] -= cost[basic[i]] * T[i, :]
+    if not _simplex_iterate(T, basic, nonbasic, "phase-2"):
         return LpSolution(status=STATUS_UNBOUNDED)
 
-    x_std = np.zeros(art_start)
-    x_std[basis] = T[:m, -1]
-    x = x_std[:nv] + lp.lo
+    x = np.zeros(nv)
+    on = basic < nv
+    x[basic[on]] = T[:m, -1][on]
+    x += lp.lo
     violation = max_violation(lp, x)
     if not violation <= TOL:
         raise NumericalInstability(

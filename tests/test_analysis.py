@@ -116,6 +116,11 @@ class TestSelectStrategy:
         r = select_strategy(5, 0.9, {"F"})
         assert isinstance(r.rationale, str) and r.rationale
 
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_rejects_bad_group_size(self, n):
+        with pytest.raises(ValueError, match="group size"):
+            select_strategy(n, 0.5, {"WH"})
+
 
 class TestPropertyReport:
     def test_uniform_report(self):

@@ -179,3 +179,32 @@ def test_evaluate_non_numeric_predicate_value_exits_2(tmp_path, capsys, predicat
                      "--predicate", predicate, "--group-size", "1"])
     assert code == cli.EXIT_FLAGS
     assert "'abc'" in _error_only(capsys)
+
+
+@pytest.mark.parametrize("objective", ["l0", "l1", "l2"])
+def test_design_tail_offset_without_l0d_exits_2(tmp_path, capsys, objective):
+    out = tmp_path / "m.csv"
+    code = cli.main(["design", "--mechanism", "gm", "--n", "4", "--alpha", "0.5",
+                     "--objective", objective, "--d", "2", "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    assert "--d" in _error_only(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, flags", [
+    ("binomial", ["--group-size", "0"]),
+    ("binomial", ["--group-size", "-3"]),
+    ("binomial", ["--group-size", "2", "--p", "1.5"]),
+    ("binomial", ["--group-size", "2", "--p", "-0.1"]),
+    ("binomial", ["--group-size", "2", "--reps", "0"]),
+    ("csv", ["--group-size", "0"]),
+])
+def test_evaluate_bad_flag_exits_2(tmp_path, capsys, data, flags):
+    mech = tmp_path / "m.csv"
+    write_mechanism_csv(uniform(2), mech, alpha=1.0)
+    people = tmp_path / "people.csv"
+    people.write_text("bit\n1\n0\n1\n0\n")
+    code = cli.main(["evaluate", "--mech", str(mech), "--data", data,
+                     "--csv", str(people), "--predicate", "bit", *flags])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)

@@ -214,6 +214,28 @@ class TestSolveLp:
             assert sol.objective_value == pytest.approx(
                 enumerate_optimum(lp), abs=1e-8)
 
+    @pytest.mark.parametrize("n, alpha, props, digest", [
+        (3, 0.3, ("RM", "CH", "F"),
+         "27ed971395de9a6e16fdbbfd7bee60e4ad64be4aa96c356635648f3904aad6c6"),
+        (3, 0.62, ("CH", "F", "S"),
+         "dc44dabbbec630cb272822af5fb6238bc6f06edae25f773bd745d2a7bd7aa450"),
+        (4, 0.9, ("WH",),
+         "5ba3e2afd10d057f87d0596ff1a6bdf4b3530fff7c93366fc804238a1d9d4bc7"),
+        (4, 0.62, ("CM", "WH"),
+         "660d220f49a3761f71b048e6ee7e863cffb90997eed6044742737e98cd503054"),
+    ])
+    def test_design_vertex_is_pinned(self, n, alpha, props, digest):
+        # these LPs have tied pivot candidates; breaking the ties by tableau
+        # column position instead of by variable label reaches another vertex
+        sol = solve_lp(build_lp(n, alpha, frozenset(props), l0_objective(n)))
+        assert hashlib.sha256(sol.values.tobytes()).hexdigest() == digest
+
+    def test_bounded_vertex_is_pinned(self):
+        lp = random_lp(np.random.default_rng(7))
+        assert np.isfinite(lp.hi).all()
+        digest = hashlib.sha256(solve_lp(lp).values.tobytes()).hexdigest()
+        assert digest == "ad9b07447dbfe327b5f447b68e0a048ba83738cef56c2df8d6ac7173a582d305"
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_property_subset_matches_highs(self, n):
         linprog = pytest.importorskip("scipy.optimize").linprog
