@@ -3,7 +3,8 @@
 Subcommands: design, analyze, select, evaluate, export-heatmap.  Every
 command writes a single JSON document to stdout and keeps diagnostics on
 stderr, so output composes in pipelines.  Exit codes: 0 success, 1 solver
-failure, 2 flag/mechanism-file errors, 3 data errors (evaluate).
+failure, 2 flag/mechanism-file errors, 3 data errors (evaluate).  Every flag
+error exits 2 before a mechanism or data file is read or any file is written.
 """
 
 from __future__ import annotations
@@ -45,18 +46,14 @@ def _load_weights(spec: str, n: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def _build_objective(name: str, n: int, d: int, weights: np.ndarray) -> core.Objective:
+def _build_objective(name: str, d: int, weights: np.ndarray) -> core.Objective:
     if d and name != "l0d":
         raise ValueError(f"--d applies only to --objective l0d, not {name}")
-    if name == "l0":
-        return core.Objective(p=0, weights=weights, d=0, rescale=True)
-    if name == "l0d":
-        return core.Objective(p=0, weights=weights, d=d, rescale=True)
     if name == "l1":
         return core.Objective(p=1, weights=weights)
     if name == "l2":
         return core.Objective(p=2, weights=weights)
-    raise argparse.ArgumentTypeError(f"unknown objective {name!r}")
+    return core.Objective(p=0, weights=weights, d=d, rescale=True)
 
 
 def _emit(doc: dict) -> None:
@@ -70,9 +67,10 @@ def _fail(code: int, message: str) -> int:
 
 def _cmd_design(args) -> int:
     try:
+        core._check_n(args.n)
         weights = _load_weights(args.weights, args.n)
-        objective = _build_objective(args.objective, args.n, args.d, weights)
-        props = args.props
+        objective = _build_objective(args.objective, args.d, weights)
+        core._check_objective(objective, args.n)
     except (OSError, ValueError, DpMechError) as exc:
         return _fail(EXIT_FLAGS, str(exc))
 
@@ -80,8 +78,8 @@ def _cmd_design(args) -> int:
         if args.mechanism == "lp":
             if args.dump_lp:
                 with open(args.dump_lp, "w", encoding="utf-8") as fh:
-                    lp.build_lp(args.n, args.alpha, props, objective).dump(fh)
-            mech = lp.design_mechanism(args.n, args.alpha, props, objective)
+                    lp.build_lp(args.n, args.alpha, args.props, objective).dump(fh)
+            mech = lp.design_mechanism(args.n, args.alpha, args.props, objective)
         elif args.mechanism == "gm":
             mech = explicit.geometric(args.n, args.alpha)
         elif args.mechanism == "em":
@@ -105,7 +103,7 @@ def _cmd_design(args) -> int:
         "mechanism": args.mechanism,
         "n": args.n,
         "alpha": args.alpha,
-        "props": sorted(props),
+        "props": sorted(args.props),
         "objective": args.objective,
         "objective_value": value,
         "out": str(args.out),
@@ -143,25 +141,25 @@ def _cmd_evaluate(args) -> int:
         cfg = evaluate.EvalConfig(reps=args.reps, seed=args.seed, d=args.d,
                                   metric=args.metric)
         core._check_n(args.group_size)
-        # every input of the binomial population is a flag
         if args.data == "binomial":
             rng = evaluate.substream(args.seed, evaluate.DATA_STREAM)
             groups = evaluate.binomial_population(args.total, args.group_size,
                                                   args.p, rng)
+        elif not args.csv or not args.predicate:
+            raise ValueError("--data csv requires --csv and --predicate")
+        else:
+            try:
+                column, pred = evaluate.parse_predicate(args.predicate)
+            except ValueError:
+                # only a spec with no operator may name a 0/1 column
+                if any(op in args.predicate for op in evaluate._PREDICATE_OPS):
+                    raise
+                column, pred = args.predicate.strip(), None
     except (ValueError, DpMechError) as exc:
         return _fail(EXIT_FLAGS, str(exc))
     try:
         mech, _ = core.read_mechanism_csv(args.mech)
         if args.data == "csv":
-            if not args.csv or not args.predicate:
-                return _fail(EXIT_FLAGS, "--data csv requires --csv and --predicate")
-            try:
-                column, pred = evaluate.parse_predicate(args.predicate)
-            except ValueError as exc:
-                # only a spec with no operator may name a 0/1 column
-                if any(op in args.predicate for op in evaluate._PREDICATE_OPS):
-                    return _fail(EXIT_FLAGS, str(exc))
-                column, pred = args.predicate.strip(), None
             groups = evaluate.ingest_groups(args.csv, column, args.group_size,
                                             predicate=pred)
         empirical = (evaluate.empirical_l0d if args.metric == "l0d"
@@ -251,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 1:
-        return _fail(EXIT_FLAGS, f"group size must be >= 1, got {args.n}")
     needs_alpha = args.command == "design" and args.mechanism in ("lp", "gm", "em")
     if needs_alpha and args.alpha is None:
         return _fail(EXIT_FLAGS, f"--alpha is required for --mechanism {args.mechanism}")

@@ -48,6 +48,15 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def _check_d(d, n: int | None = None) -> int:
+    """Validate a tail offset: an integer >= 0, and at most n when n is given."""
+    if d < 0 or int(d) != d:
+        raise ValueError(f"d must be a non-negative integer, got {d}")
+    if n is not None and d > n:
+        raise DimensionMismatch(f"tail offset d={d} exceeds group size n={n}")
+    return int(d)
+
+
 def _check_props(props) -> frozenset:
     """Validate property names; returns them as a frozenset."""
     props = frozenset(props)
@@ -143,8 +152,7 @@ def is_dp(mech: Mechanism, alpha: float) -> bool:
 
 def check_property(mech: Mechanism, prop: str) -> bool:
     """Evaluate one of the seven structural properties with additive slack."""
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    _check_props((prop,))
     if prop == "WH":
         return bool(np.all(np.diagonal(mech.matrix) >= 1.0 / (mech.n + 1) - TOL))
     lhs, rhs = _sides(mech.matrix, prop)
@@ -190,8 +198,7 @@ class Objective:
     def __post_init__(self):
         if self.p < 0 or int(self.p) != self.p:
             raise ValueError(f"p must be a non-negative integer, got {self.p}")
-        if self.d < 0 or int(self.d) != self.d:
-            raise ValueError(f"d must be a non-negative integer, got {self.d}")
+        _check_d(self.d)
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise DimensionMismatch("weights must be a 1-D vector")
@@ -232,16 +239,20 @@ def _distance_mask(n: int, p: int, d: int):
     return factor
 
 
-def objective_value(mech: Mechanism, obj: Objective) -> float:
-    """Evaluate the loss of a mechanism under the given objective."""
-    n = mech.n
+def _check_objective(obj: Objective, n: int) -> None:
+    """Check that obj fits group size n: n+1 weights, d <= n, n >= 1 if rescaled."""
     if obj.weights.size != n + 1:
         raise DimensionMismatch(
             f"objective weights have length {obj.weights.size}, mechanism needs {n + 1}")
-    if obj.d > n:
-        raise DimensionMismatch(f"tail offset d={obj.d} exceeds group size n={n}")
+    _check_d(obj.d, n)
     if obj.rescale and n == 0:
         raise UndefinedForN0("rescaled objectives are undefined for n=0")
+
+
+def objective_value(mech: Mechanism, obj: Objective) -> float:
+    """Evaluate the loss of a mechanism under the given objective."""
+    n = mech.n
+    _check_objective(obj, n)
     per_column = (mech.matrix * _distance_mask(n, obj.p, obj.d)).sum(axis=0)
     value = float(obj.weights @ per_column)
     if obj.rescale:
@@ -273,11 +284,8 @@ def l0_score(mech: Mechanism) -> float:
 def l0d_score(mech: Mechanism, d: int) -> float:
     """Rescaled probability mass at distance >= max(d, 1) from the truth
     (uniform prior); d = 0 gives the l0 score."""
-    if d < 0 or int(d) != d:
-        raise ValueError(f"d must be a non-negative integer, got {d}")
-    if d > mech.n:
-        raise DimensionMismatch(f"tail offset d={d} exceeds group size n={mech.n}")
-    return float(_tail_costs(mech)[max(int(d), 1)])
+    d = _check_d(d, mech.n)
+    return float(_tail_costs(mech)[max(d, 1)])
 
 
 def symmetrize(mech: Mechanism) -> Mechanism:

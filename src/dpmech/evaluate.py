@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mechanism
+from .core import Mechanism, _check_d, _check_n
 from .errors import (
     BadProbability,
     DimensionMismatch,
@@ -79,8 +79,7 @@ class EvalConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.d < 0:
-            raise ValueError("d must be >= 0")
+        _check_d(self.d)
         if self.metric not in ("l0d", "rmse"):
             raise ValueError(f"metric must be 'l0d' or 'rmse', got {self.metric!r}")
 
@@ -103,12 +102,13 @@ def binomial_population(total: int, n: int, p: float,
                         rng: np.random.Generator) -> GroupCounts:
     """Split `total` individuals into groups of n with i.i.d. Bernoulli(p) bits.
 
-    Leftover individuals that do not fill a group are dropped.
+    n must be an integer in [1, total]; leftover individuals are dropped.
     """
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p must lie in [0, 1], got {p}")
-    if n < 1 or total < n:
-        raise ValueError(f"need total >= n >= 1, got total={total}, n={n}")
+    n = _check_n(n)
+    if total < n:
+        raise ValueError(f"need total >= n, got total={total}, n={n}")
     groups = total // n
     return GroupCounts(n=n, counts=rng.binomial(n, p, size=groups))
 
@@ -176,11 +176,10 @@ def ingest_groups(csv_path, column: str, group_size: int,
     """Read per-row bits from a headed CSV and sum consecutive rows into groups.
 
     Without a predicate the column must hold literal 0/1 values; with one,
-    the bit is predicate(cell).  Rows keep file order; a trailing incomplete
-    group is dropped.
+    the bit is predicate(cell).  group_size must be an integer >= 1.  Rows keep
+    file order; a trailing incomplete group is dropped.
     """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
+    group_size = _check_n(group_size)
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Mechanism, _check_alpha, _check_n, new_mechanism
-from .errors import AlphaOutOfRange
 
 __all__ = [
     "geometric",
@@ -91,6 +90,5 @@ def gm_l0_cost(alpha: float) -> float:
 
 def em_l0_cost(n: int, alpha: float) -> float:
     """Rescaled wrong-answer cost of the fair mechanism: (n+1)/n * (1 - y)."""
-    n = _check_n(n)
-    alpha = _check_alpha(alpha, open_top=True)
-    return (n + 1) / n * (1.0 - fair_diagonal(n, alpha))
+    y = fair_diagonal(n, alpha)
+    return (n + 1) / n * (1.0 - y)

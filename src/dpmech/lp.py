@@ -32,6 +32,7 @@ from .core import (
     Objective,
     _check_alpha,
     _check_n,
+    _check_objective,
     _check_props,
     _distance_mask,
     _sides,
@@ -147,10 +148,7 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     n = _check_n(n)
     size = n + 1
     nv = size * size
-    if obj.weights.size != size:
-        raise ValueError(f"objective weights have length {obj.weights.size}, need {size}")
-    if obj.d > n:
-        raise ValueError(f"tail offset d={obj.d} exceeds n={n}")
+    _check_objective(obj, n)
     props = _check_props(props)
 
     # each block is the rows x[p] - k*x[q] {rel} rhs, one per (p, q) pair;

@@ -2,9 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from dpmech import cli, lp, read_mechanism_csv, uniform, write_mechanism_csv
+from dpmech import (
+    cli,
+    explicit_fair,
+    lp,
+    read_mechanism_csv,
+    select_strategy,
+    uniform,
+    write_mechanism_csv,
+)
 from dpmech.errors import NumericalInstability
 
 
@@ -208,3 +217,89 @@ def test_evaluate_bad_flag_exits_2(tmp_path, capsys, data, flags):
                      "--csv", str(people), "--predicate", "bit", *flags])
     assert code == cli.EXIT_FLAGS
     _error_only(capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--csv", "people.csv"],
+    ["--predicate", "bit"],
+    ["--csv", "people.csv", "--predicate", "age<=abc"],
+])
+def test_evaluate_csv_flag_errors_exit_2_before_the_mechanism_is_read(tmp_path, capsys,
+                                                                      monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["evaluate", "--mech", "missing.csv", "--data", "csv",
+                     "--group-size", "4", *flags])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--objective", "l0d", "--d", "5"],
+    ["--weights", "w.txt"],
+])
+def test_design_objective_error_writes_no_file(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_text("0.5 0.5\n")
+    code = cli.main(["design", "--n", "2", "--alpha", "0.5", *flags,
+                     "--dump-lp", "lp.txt", "--out", "m.csv"])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+    assert not (tmp_path / "lp.txt").exists()
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("mechanism", ["lp", "gm", "em"])
+def test_design_without_alpha_exits_2(tmp_path, capsys, mechanism):
+    out = tmp_path / "m.csv"
+    dump = tmp_path / "lp.txt"
+    code = cli.main(["design", "--mechanism", mechanism, "--n", "3", "--out", str(out),
+                     "--dump-lp", str(dump)])
+    assert code == cli.EXIT_FLAGS
+    assert "--alpha is required" in _error_only(capsys)
+    assert not out.exists() and not dump.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--alpha", "0.5"],
+    ["design", "--mechanism", "gm", "--alpha", "0.5", "--out", "m.csv"],
+])
+def test_group_size_below_1_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([*argv, "--n", "0"])
+    assert code == cli.EXIT_FLAGS
+    assert "group size must be an integer >= 1, got 0" in _error_only(capsys)
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_select_prints_the_strategy_and_rationale(capsys):
+    code = cli.main(["select", "--n", "6", "--alpha", "0.62", "--props", "wh,cm"])
+    assert code == cli.EXIT_OK
+    expected = select_strategy(6, 0.62, {"WH", "CM"})
+    assert json.loads(capsys.readouterr().out) == {
+        "strategy": expected.strategy, "rationale": expected.rationale}
+
+
+def test_export_heatmap_reads_back_the_matrix_bit_for_bit(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    write_mechanism_csv(explicit_fair(4, 0.62), path, alpha=0.62)
+    out = tmp_path / "heat.csv"
+    code = cli.main(["export-heatmap", "--in", str(path), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"out": str(out), "rows": 25}
+    lines = out.read_text().splitlines()
+    assert lines[0] == "input,output,probability" and len(lines) == 1 + 25
+    back = np.full((5, 5), np.nan)
+    for line in lines[1:]:
+        j, i, value = line.split(",")
+        back[int(i), int(j)] = float(value)
+    assert back.tobytes() == read_mechanism_csv(path)[0].matrix.tobytes()
+
+
+def test_export_heatmap_missing_input_exits_2(tmp_path, capsys):
+    out = tmp_path / "heat.csv"
+    code = cli.main(["export-heatmap", "--in", str(tmp_path / "missing.csv"),
+                     "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    _error_only(capsys)
+    assert not out.exists()

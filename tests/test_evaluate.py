@@ -6,6 +6,7 @@ import pytest
 from dpmech import (
     EvalConfig,
     GroupCounts,
+    binomial_population,
     empirical_l0d,
     empirical_rmse,
     evaluate,
@@ -72,6 +73,11 @@ class TestIngestGroups:
         _, pred = parse_predicate("age>=35")
         assert ingest_groups(path, "age", 2, predicate=pred).counts.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("group_size", [2.5, 0])
+    def test_group_size_checked_before_the_file_is_opened(self, tmp_path, group_size):
+        with pytest.raises(ValueError, match="group size"):
+            ingest_groups(tmp_path / "missing.csv", "bit", group_size)
+
     def test_unknown_column(self, tmp_path):
         path = _csv(tmp_path, "id,bit\na,1\n")
         with pytest.raises(UnknownColumn):
@@ -87,6 +93,16 @@ class TestIngestGroups:
         pred = parse_predicate(predicate)[1] if predicate else None
         with pytest.raises(ParseError, match=message):
             ingest_groups(_csv(tmp_path, text), column, 1, predicate=pred)
+
+
+class TestInputRules:
+    def test_binomial_population_rejects_fractional_group_size(self):
+        with pytest.raises(ValueError, match="group size"):
+            binomial_population(10, 2.5, 0.5, np.random.default_rng(0))
+
+    def test_eval_config_rejects_fractional_tail_offset(self):
+        with pytest.raises(ValueError, match="d must be a non-negative integer"):
+            EvalConfig(d=1.5)
 
 
 class TestEmpiricalMetrics:

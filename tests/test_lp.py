@@ -26,8 +26,10 @@ from dpmech import (
     is_dp,
     l0_objective,
     l0_score,
+    l0d_objective,
     l1_objective,
     max_violation,
+    objective_value,
     solve_lp,
     uniform,
     uniform_weights,
@@ -41,6 +43,7 @@ from dpmech.lp import (
     STATUS_UNBOUNDED,
     LinearProgram,
 )
+from dpmech.errors import DimensionMismatch
 
 
 def _mk(c, rows, rels, rhs, lo=None, hi=None):
@@ -69,6 +72,15 @@ class TestBuildLp:
         assert np.all(lp.rel[:2] == REL_EQ) and np.all(lp.b[:2] == 1.0)
         assert np.all((sums == 0.0) | (sums == 1.0))
         assert np.all(sums.sum(axis=0) == 1.0)
+
+    @pytest.mark.parametrize("obj", [l0_objective(4), l0d_objective(3, 5)],
+                             ids=["weights", "d"])
+    def test_objective_must_fit_n_as_in_objective_value(self, obj):
+        with pytest.raises(DimensionMismatch) as from_lp:
+            build_lp(3, 0.5, (), obj)
+        with pytest.raises(DimensionMismatch) as from_value:
+            objective_value(uniform(3), obj)
+        assert str(from_lp.value) == str(from_value.value)
 
     def test_weak_honesty_rows(self):
         base = build_lp(2, 0.5, frozenset(), l0_objective(2))
