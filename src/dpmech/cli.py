@@ -76,10 +76,11 @@ def _cmd_design(args) -> int:
 
     try:
         if args.mechanism == "lp":
+            problem = lp.build_lp(args.n, args.alpha, args.props, objective)
             if args.dump_lp:
                 with open(args.dump_lp, "w", encoding="utf-8") as fh:
-                    lp.build_lp(args.n, args.alpha, args.props, objective).dump(fh)
-            mech = lp.design_mechanism(args.n, args.alpha, args.props, objective)
+                    problem.dump(fh)
+            mech = lp.solve_design(problem)
         elif args.mechanism == "gm":
             mech = explicit.geometric(args.n, args.alpha)
         elif args.mechanism == "em":

@@ -57,6 +57,13 @@ def _check_d(d, n: int | None = None) -> int:
     return int(d)
 
 
+def _check_reps(reps) -> int:
+    """Validate a repetition count: an integer >= 1."""
+    if reps < 1 or int(reps) != reps:
+        raise ValueError(f"reps must be an integer >= 1, got {reps}")
+    return int(reps)
+
+
 def _check_props(props) -> frozenset:
     """Validate property names; returns them as a frozenset."""
     props = frozenset(props)

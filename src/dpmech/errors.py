@@ -26,9 +26,10 @@ class UndefinedForN0(DpMechError):
 
 
 class NumericalInstability(DpMechError):
-    """Simplex failed numerically: every admissible pivot fell below the
-    magnitude threshold, the iteration cap was hit, or the final point breaks
-    a constraint by more than 1e-9."""
+    """An LP solve failed numerically: HiGHS ended in a state other than
+    optimal, infeasible or unbounded, or its answer failed the certificate
+    (a row or bound broken, or the objective above the dual bound, by more
+    than 1e-9)."""
 
 
 class LpInternalError(DpMechError):

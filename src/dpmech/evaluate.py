@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mechanism, _check_d, _check_n
+from .core import Mechanism, _check_d, _check_n, _check_reps
 from .errors import (
     BadProbability,
     DimensionMismatch,
@@ -77,8 +77,7 @@ class EvalConfig:
     metric: str = "l0d"
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        object.__setattr__(self, "reps", _check_reps(self.reps))
         _check_d(self.d)
         if self.metric not in ("l0d", "rmse"):
             raise ValueError(f"metric must be 'l0d' or 'rmse', got {self.metric!r}")

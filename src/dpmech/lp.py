@@ -1,25 +1,34 @@
-"""Linear-program construction and a dense two-phase primal simplex solver.
+"""Linear-program construction, and its solve by HiGHS with a two-sided certificate.
 
 ``build_lp`` encodes the feasible region of alpha-private mechanisms --
 column-sum equalities and the adjacent-column ratio inequalities over
 nonnegative variables -- plus one linear row per requested structural
 property, over variables rho[i, j] flattened row-major as i*(n+1)+j.
 
-``solve_lp`` is deliberately self-contained (dense numpy tableau, Dantzig
-pricing with a permanent switch to Bland's rule after a degenerate streak,
-pivot magnitude threshold 1e-7).  The tableau keeps only the columns of the
-nonbasic variables plus the rhs: a basic variable's column is a unit vector,
-so it is never stored.  Two label arrays, ``basic`` and ``nonbasic``, name
-the variable of each row and column, in the order of the full tableau:
-structural, then one slack per <= or >= row, then one artificial per >= or
-== row.  A pivot hands the entering column over to the leaving variable, and
-every tie goes to the smallest label, so the pivots are those of the full
-tableau.  It reports ``optimal`` only for the vertex the pivots reached, and
-only when that point satisfies every row and bound within 1e-9.
+``solve_lp`` hands the LP, as compressed columns, to the compiled HiGHS
+binding that ships inside scipy (``scipy.optimize._highspy._core``).  The
+binding is loaded once, on the first solve, straight from its file, so a
+process that designs a mechanism never imports ``scipy.optimize`` or
+``scipy.sparse``; it is registered under its own dotted name, which a later
+``import scipy.optimize`` then reuses.  Without the file it falls back to the
+ordinary import.  HiGHS runs its simplex on one thread with a fixed random
+seed, primal and dual feasibility tolerances of 1e-10 and no output, so an
+LP gives the same answer bit for bit in every process.
+
+An ``optimal`` answer is a checked claim, by ``certify`` on the LP's own
+data: the point breaks no row or bound by more than 1e-9 (primal side), and
+its objective is within 1e-9 of the lower bound that HiGHS's row duals,
+sign-corrected, prove for every feasible point (dual side).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +53,6 @@ REL_EQ = 0
 REL_GE = 1
 
 _REL_TEXT = {REL_LE: "<=", REL_EQ: "==", REL_GE: ">="}
-
-_FEAS_TOL = 1e-7
-_RC_TOL = 1e-10
-#: tableau entries at or below this are roundoff, never pivots: pivoting on
-#: one of 1e-12 blows the tableau up to 1e16 and ends at a wrong vertex
-_PIVOT_TOL = 1e-7
-#: degenerate pivots in a row before pricing switches to Bland's rule for good
-_BLAND_AFTER = 100
-_MAX_ITER = 200_000
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -196,153 +196,118 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
 
 
 # ---------------------------------------------------------------------------
-# two-phase simplex
+# solving with HiGHS, and the certificate
 # ---------------------------------------------------------------------------
 
-def _lowest(labels, idx):
-    """The entry of idx with the smallest label: the full tableau's first match."""
-    return int(idx[np.argmin(labels[idx])])
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+#: fixed so that the same LP gives the same answer bit for bit in any process
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("solver", "simplex"),
+    ("threads", 1),
+    ("random_seed", 0),
+    ("primal_feasibility_tolerance", 1e-10),
+    ("dual_feasibility_tolerance", 1e-10),
+)
 
 
-def _pivot(T, basic, nonbasic, r, j):
-    """Swap the variable of column j into the basis at row r.
+@functools.cache
+def _highs():
+    """HiGHS's compiled binding, loaded from its file without ``scipy.optimize``.
 
-    The leaving variable takes over column j with the entries a full tableau
-    would give its unit column: 1/p in row r, -factor * (1/p) in every other row.
+    The module goes into ``sys.modules`` under its own dotted name, so a later
+    ``import scipy.optimize`` reuses it instead of registering its types again.
     """
-    p = T[r, j]
-    factors = T[:, j].copy()
-    factors[r] = 0.0
-    T[r, :] /= p
-    T[:, j] = 0.0
-    T[r, j] = 1.0 / p
-    T -= np.outer(factors, T[r, :])
-    basic[r], nonbasic[j] = nonbasic[j], basic[r]
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    paths = [] if scipy is None else [
+        os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy", "_core" + suffix)
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.exists, paths), None)
+    if path is None:
+        return importlib.import_module(_HIGHS_MODULE)
+    spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def _simplex_iterate(T, basic, nonbasic, phase: str) -> bool:
-    """Pivot in place until no column prices out; returns False when the
-    objective is unbounded.
+def certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ``NumericalInstability`` unless x is optimal within 1e-9.
 
-    Dantzig entering rule with a permanent switch to Bland's rule after a run
-    of degenerate pivots; leaving row = min ratio.  Every tie goes to the
-    smallest variable label, so the pivots are those of the full tableau.
+    Primal side: x breaks no row or bound by more than 1e-9.  Dual side: any
+    row multipliers y give a lower bound on every feasible objective, once
+    each entry of the wrong sign for its row is set to 0; with z = c - a'y it
+    is b.y + sum_j min(z_j lo_j, z_j hi_j), where a column with no upper
+    bound adds z_j lo_j and needs z_j >= -1e-9.  x must come within 1e-9 of
+    that bound.  The bound holds for any y, so duals from a faulty solve can
+    make this refuse an optimal x, but not pass a costlier one beyond the
+    tolerances.
     """
-    m = T.shape[0] - 1
-    bland = False
-    streak = 0
-    for _ in range(_MAX_ITER):
-        seg = T[m, :-1]
-        cand = np.flatnonzero(seg < -_RC_TOL)
-        if cand.size == 0:
-            return True
-        if not bland:
-            cand = cand[seg[cand] == seg[cand].min()]
-        j = _lowest(nonbasic, cand)
-
-        colv = T[:m, j]
-        mask = colv > _PIVOT_TOL
-        if not mask.any():
-            if (colv > 0.0).any():
-                raise NumericalInstability(f"{phase} pivots fell below {_PIVOT_TOL:g}")
-            return False
-        ratios = np.full(m, np.inf)
-        ratios[mask] = T[:m, -1][mask] / colv[mask]
-        best = ratios.min()
-        r = _lowest(basic, np.flatnonzero(ratios == best))
-
-        if best <= 1e-12:
-            streak += 1
-            if streak > _BLAND_AFTER:
-                bland = True
-        else:
-            streak = 0
-        _pivot(T, basic, nonbasic, r, j)
-    raise NumericalInstability(f"{phase} iteration limit reached")
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve with two-phase primal simplex; never raises for infeasible/unbounded.
-
-    Raises ``NumericalInstability`` when pivots stall, the iteration cap is
-    hit, or the final point breaks a row or bound by more than 1e-9.
-    """
-    nv = lp.num_vars
-    if not np.all(np.isfinite(lp.lo)):
-        raise ValueError("solve_lp requires finite lower bounds")
-
-    # shift to z = x - lo >= 0 and fold finite upper bounds in as rows
-    finite_hi = np.flatnonzero(np.isfinite(lp.hi))
-    A = np.vstack([lp.a, finite_hi[:, None] == np.arange(nv)])
-    rel = np.concatenate([lp.rel, np.full(finite_hi.size, REL_LE, dtype=np.int8)])
-    b = np.concatenate([lp.b - lp.a @ lp.lo, lp.hi[finite_hi] - lp.lo[finite_hi]])
-
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    rel[neg] *= -1
-    # a >= row with zero rhs starts feasible as a <= row; avoids an artificial
-    zero_ge = (b == 0.0) & (rel == REL_GE)
-    A[zero_ge] *= -1.0
-    rel[zero_ge] = REL_LE
-
-    # variable labels: structural, one slack per <=/>= row, one artificial per
-    # >=/== row; a <= row starts on its slack, the others on their artificial
-    m = A.shape[0]
-    is_ge = rel == REL_GE
-    slack = nv + np.cumsum(rel != REL_EQ) - 1
-    art_start = nv + int(np.count_nonzero(rel != REL_EQ))
-    art = art_start + np.cumsum(rel != REL_LE) - 1
-    basic = np.where(rel == REL_LE, slack, art)
-    nonbasic = np.concatenate([np.arange(nv), slack[is_ge]])
-    T = np.zeros((m + 1, nonbasic.size + 1))
-    T[:m, :nv] = A
-    T[np.flatnonzero(is_ge), np.arange(nv, nonbasic.size)] = -1.0
-    T[:m, -1] = b
-
-    art_rows = np.flatnonzero(basic >= art_start)
-    if art_rows.size:
-        for i in art_rows:
-            T[m, :] -= T[i, :]
-        # the phase-1 objective is bounded below by 0
-        _simplex_iterate(T, basic, nonbasic, "phase-1")
-        if -T[m, -1] > _FEAS_TOL:
-            return LpSolution(status=STATUS_INFEASIBLE)
-        # drive leftover artificials out of the basis; rows where no
-        # structural/slack pivot exists are redundant and get dropped
-        drop = []
-        for i in np.flatnonzero(basic >= art_start):
-            cand = np.flatnonzero(nonbasic < art_start)
-            mag = np.abs(T[i, cand])
-            best = mag.max(initial=0.0)
-            if best > _PIVOT_TOL:
-                _pivot(T, basic, nonbasic, i, _lowest(nonbasic, cand[mag == best]))
-            else:
-                drop.append(i)
-        # no artificial is basic any more, so phase 2 never needs their columns
-        cols = np.flatnonzero(nonbasic < art_start)
-        T = T[np.ix_(np.delete(np.arange(m + 1), drop), np.r_[cols, -1])]
-        basic = np.delete(basic, drop)
-        nonbasic = nonbasic[cols]
-        m = basic.size
-
-    # phase 2
-    cost = np.concatenate([lp.c, np.zeros(art_start - nv)])
-    T[m, :-1] = cost[nonbasic]
-    T[m, -1] = 0.0
-    for i in np.flatnonzero(cost[basic]):
-        T[m, :] -= cost[basic[i]] * T[i, :]
-    if not _simplex_iterate(T, basic, nonbasic, "phase-2"):
-        return LpSolution(status=STATUS_UNBOUNDED)
-
-    x = np.zeros(nv)
-    on = basic < nv
-    x[basic[on]] = T[:m, -1][on]
-    x += lp.lo
     violation = max_violation(lp, x)
     if not violation <= TOL:
         raise NumericalInstability(
-            f"simplex point breaks a constraint by {violation:.3g} (limit {TOL:g})")
+            f"LP point breaks a constraint by {violation:.3g} (limit {TOL:g})")
+    y = np.where(lp.rel == REL_GE, np.maximum(y, 0.0),
+                 np.where(lp.rel == REL_LE, np.minimum(y, 0.0), y))
+    z = lp.c - lp.a.T @ y
+    open_top = ~np.isfinite(lp.hi)
+    hi = np.where(open_top, lp.lo, lp.hi)
+    bound = float(lp.b @ y + np.minimum(z * lp.lo, z * hi).sum())
+    if np.any(z[open_top] < -TOL):
+        bound = -np.inf
+    gap = float(lp.c @ x) - bound
+    if not gap <= TOL:
+        raise NumericalInstability(
+            f"LP point is {gap:.3g} above its dual bound (limit {TOL:g})")
+
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve with HiGHS's simplex; never raises for infeasible/unbounded.
+
+    An ``optimal`` answer has passed ``certify``.  Raises
+    ``NumericalInstability`` when it does not, or when HiGHS ends in any
+    other state.
+    """
+    if not np.all(np.isfinite(lp.lo)):
+        raise ValueError("solve_lp requires finite lower bounds")
+    h = _highs()
+    nv, m = lp.num_vars, lp.num_constraints
+    model = h.HighsLp()
+    model.num_col_, model.num_row_ = nv, m
+    model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lo, lp.hi
+    model.row_lower_ = np.where(lp.rel == REL_LE, -np.inf, lp.b)
+    model.row_upper_ = np.where(lp.rel == REL_GE, np.inf, lp.b)
+    # compressed columns: the nonzeros of a, column by column; scanning a in
+    # memory order and sorting the few nonzeros is 3x faster than scanning a.T
+    flat = np.flatnonzero(lp.a)
+    rows, cols = np.divmod(flat, nv)
+    order = np.argsort(cols, kind="stable")
+    matrix = model.a_matrix_
+    matrix.format_ = h.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = nv, m
+    matrix.start_ = np.searchsorted(cols[order], np.arange(nv + 1))
+    matrix.index_ = rows[order]
+    matrix.value_ = lp.a.ravel()[flat[order]]
+
+    highs = h._Highs()
+    for name, value in _HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    highs.passModel(model)
+    highs.run()
+    status = highs.getModelStatus()
+    if status == h.HighsModelStatus.kInfeasible:
+        return LpSolution(status=STATUS_INFEASIBLE)
+    if status == h.HighsModelStatus.kUnbounded:
+        return LpSolution(status=STATUS_UNBOUNDED)
+    if status != h.HighsModelStatus.kOptimal:
+        raise NumericalInstability(f"HiGHS ended with {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    certify(lp, x, np.array(solution.row_dual))
     return LpSolution(
         status=STATUS_OPTIMAL,
         values=x,
@@ -351,15 +316,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def design_mechanism(n: int, alpha: float, props, obj: Objective) -> Mechanism:
-    """Solve the constrained-design LP and return the optimal mechanism.
+    """Solve the constrained-design LP and return the optimal mechanism."""
+    return solve_design(build_lp(n, alpha, props, obj))
+
+
+def solve_design(problem: LinearProgram) -> Mechanism:
+    """The optimal mechanism of a design LP that ``build_lp`` returned.
 
     The feasible region always contains the uniform mechanism, so an
     infeasible/unbounded status can only mean a solver defect.
     """
-    lp = build_lp(n, alpha, props, obj)
-    sol = solve_lp(lp)
+    sol = solve_lp(problem)
     if sol.status != STATUS_OPTIMAL:
         raise LpInternalError(
             f"design LP reported {sol.status}; the uniform mechanism is always feasible")
-    matrix = sol.values.reshape(n + 1, n + 1)
-    return Mechanism(matrix)
+    size = math.isqrt(problem.num_vars)
+    return Mechanism(sol.values.reshape(size, size))

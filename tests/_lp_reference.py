@@ -1,7 +1,8 @@
-"""Reference LP machinery for tests: exhaustive vertex enumeration and a
+"""Reference LP machinery for tests: exhaustive vertex enumeration, the
+optimum from ``scipy.optimize.linprog`` with tight tolerances, and a
 generator of random feasible, bounded instances.
 
-The enumerator is deliberately independent of the simplex implementation:
+The enumerator is deliberately independent of the LP solver:
 a vertex is any feasible point where some set of num_vars constraint rows
 (equalities, inequalities or bounds) holds with equality; the optimum of a
 bounded feasible LP is the best vertex.
@@ -61,6 +62,21 @@ def enumerate_optimum(lp: LinearProgram) -> float:
         if ok:
             best = min(best, float(lp.c @ x))
     return best
+
+
+def linprog_optimum(lp: LinearProgram) -> float:
+    """The optimum scipy's own HiGHS route reports, with 1e-10 tolerances."""
+    from scipy.optimize import linprog
+
+    le, ge, eq = (lp.rel == REL_LE), (lp.rel == REL_GE), (lp.rel == REL_EQ)
+    ref = linprog(lp.c, A_ub=np.vstack([lp.a[le], -lp.a[ge]]),
+                  b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+                  A_eq=lp.a[eq], b_eq=lp.b[eq],
+                  bounds=np.column_stack([lp.lo, lp.hi]), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert ref.status == 0, ref.message
+    return float(ref.fun)
 
 
 def random_lp(rng: np.random.Generator) -> LinearProgram:

@@ -113,6 +113,17 @@ def test_design_dump_lp_writes_rows_and_designs(tmp_path, capsys):
     assert read_mechanism_csv(out)[0].n == 2
 
 
+def test_design_dump_lp_solves_the_lp_it_dumped(tmp_path, capsys, monkeypatch):
+    built, solved = [], []
+    build, solve = lp.build_lp, lp.solve_lp
+    monkeypatch.setattr(lp, "build_lp", lambda *args: built.append(build(*args)) or built[-1])
+    monkeypatch.setattr(lp, "solve_lp", lambda problem: solved.append(problem) or solve(problem))
+    code = cli.main(["design", "--n", "3", "--alpha", "0.6", "--props", "CM",
+                     "--out", str(tmp_path / "m.csv"), "--dump-lp", str(tmp_path / "lp.txt")])
+    assert code == cli.EXIT_OK
+    assert len(built) == 1 and solved == built
+
+
 def test_design_unwritable_dump_lp_exits_1(tmp_path, capsys):
     out = tmp_path / "m.csv"
     code = cli.main(["design", "--n", "2", "--alpha", "0.5", "--out", str(out),

@@ -104,6 +104,19 @@ class TestInputRules:
         with pytest.raises(ValueError, match="d must be a non-negative integer"):
             EvalConfig(d=1.5)
 
+    @pytest.mark.parametrize("reps", [0, -3, 2.5])
+    def test_eval_config_reps_must_be_a_positive_integer(self, reps):
+        with pytest.raises(ValueError, match="reps must be an integer >= 1"):
+            EvalConfig(reps=reps)
+
+    def test_eval_config_whole_float_reps_run_as_an_integer(self):
+        groups = GroupCounts(n=2, counts=np.array([0, 1, 2]))
+        cfg = EvalConfig(reps=2.0, seed=3)
+        assert cfg.reps == 2 and isinstance(cfg.reps, int)
+        result = empirical_l0d(geometric(2, 0.5), groups, cfg)
+        assert result.per_rep == empirical_l0d(geometric(2, 0.5), groups,
+                                               EvalConfig(reps=2, seed=3)).per_rep
+
 
 class TestEmpiricalMetrics:
     @pytest.mark.parametrize("metric", [empirical_l0d, empirical_rmse])

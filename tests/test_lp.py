@@ -1,12 +1,17 @@
-"""LP construction, the simplex solver and mechanism design."""
+"""LP construction, the HiGHS solve and its certificate, and mechanism design."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _lp_reference import enumerate_optimum, random_lp
+from _lp_reference import enumerate_optimum, linprog_optimum, random_lp
 from conftest import (
     ALPHA_GRID5,
     random_dp_mechanism,
@@ -28,6 +33,7 @@ from dpmech import (
     l0_score,
     l0d_objective,
     l1_objective,
+    l2_objective,
     max_violation,
     objective_value,
     solve_lp,
@@ -42,8 +48,9 @@ from dpmech.lp import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     LinearProgram,
+    certify,
 )
-from dpmech.errors import DimensionMismatch
+from dpmech.errors import DimensionMismatch, NumericalInstability
 
 
 def _mk(c, rows, rels, rhs, lo=None, hi=None):
@@ -175,7 +182,7 @@ class TestSharedDefinitions:
          "11604217f46944d46b59bf7c432ee204775f220b4c9087d4314a1a021d8415fe"),
     ])
     def test_row_layout_is_pinned(self, n, alpha, props, objective, digest):
-        # the simplex path depends on row order, so the layout must not drift
+        # the solver's path depends on row order, so the layout must not drift
         lp = build_lp(n, alpha, frozenset(props), objective(n))
         h = hashlib.sha256()
         for arr in (lp.a, lp.rel, lp.b):
@@ -226,44 +233,112 @@ class TestSolveLp:
             assert sol.objective_value == pytest.approx(
                 enumerate_optimum(lp), abs=1e-8)
 
-    @pytest.mark.parametrize("n, alpha, props, digest", [
-        (3, 0.3, ("RM", "CH", "F"),
-         "27ed971395de9a6e16fdbbfd7bee60e4ad64be4aa96c356635648f3904aad6c6"),
-        (3, 0.62, ("CH", "F", "S"),
-         "dc44dabbbec630cb272822af5fb6238bc6f06edae25f773bd745d2a7bd7aa450"),
-        (4, 0.9, ("WH",),
-         "5ba3e2afd10d057f87d0596ff1a6bdf4b3530fff7c93366fc804238a1d9d4bc7"),
-        (4, 0.62, ("CM", "WH"),
-         "660d220f49a3761f71b048e6ee7e863cffb90997eed6044742737e98cd503054"),
-    ])
-    def test_design_vertex_is_pinned(self, n, alpha, props, digest):
-        # these LPs have tied pivot candidates; breaking the ties by tableau
-        # column position instead of by variable label reaches another vertex
-        sol = solve_lp(build_lp(n, alpha, frozenset(props), l0_objective(n)))
-        assert hashlib.sha256(sol.values.tobytes()).hexdigest() == digest
-
-    def test_bounded_vertex_is_pinned(self):
-        lp = random_lp(np.random.default_rng(7))
-        assert np.isfinite(lp.hi).all()
-        digest = hashlib.sha256(solve_lp(lp).values.tobytes()).hexdigest()
-        assert digest == "ad9b07447dbfe327b5f447b68e0a048ba83738cef56c2df8d6ac7173a582d305"
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_property_subset_matches_highs(self, n):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         for size in range(len(PROPERTIES) + 1):
             for props in combinations(PROPERTIES, size):
                 lp = build_lp(n, 0.62, frozenset(props), l0_objective(n))
-                le, ge, eq = (lp.rel == REL_LE), (lp.rel == REL_GE), (lp.rel == REL_EQ)
-                ref = linprog(lp.c, A_ub=np.vstack([lp.a[le], -lp.a[ge]]),
-                              b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
-                              A_eq=lp.a[eq], b_eq=lp.b[eq],
-                              bounds=np.column_stack([lp.lo, lp.hi]), method="highs")
-                assert ref.status == 0, props
                 sol = solve_lp(lp)
                 assert sol.status == STATUS_OPTIMAL, props
                 assert max_violation(lp, sol.values) <= 1e-9, props
-                assert sol.objective_value == pytest.approx(ref.fun, abs=1e-9), props
+                assert sol.objective_value == pytest.approx(linprog_optimum(lp), abs=1e-9), props
+
+    @pytest.mark.parametrize("n, props, objective", [
+        (7, ("RH", "RM", "S"), l0_objective),
+        (7, ("RH", "RM", "S"), l1_objective),
+        (7, ("RH", "RM", "S"), l2_objective),
+        (16, (), l0_objective),
+        (16, ("F",), l0_objective),
+        (6, ("RH", "RM", "CM"), l0_objective),
+    ])
+    def test_hard_design_lps_are_solved(self, n, props, objective):
+        # hard for a dense tableau simplex: it stalls on the first three, loses
+        # feasibility on the next two (alpha^16 is about 4e-9), and one version
+        # of it stopped at a feasible but costlier vertex on the last
+        lp = build_lp(n, 0.3, frozenset(props), objective(n))
+        sol = solve_lp(lp)
+        assert sol.status == STATUS_OPTIMAL
+        assert max_violation(lp, sol.values) <= 1e-9
+        assert sol.objective_value == pytest.approx(linprog_optimum(lp), abs=1e-9)
+
+    def test_same_lp_same_answer_bit_for_bit(self):
+        first = solve_lp(build_lp(8, 0.62, {"WH", "CM"}, l1_objective(8)))
+        again = solve_lp(build_lp(8, 0.62, {"WH", "CM"}, l1_objective(8)))
+        assert first.values.tobytes() == again.values.tobytes()
+
+
+class TestCertify:
+    @pytest.mark.parametrize("c, rows, rels, rhs, x, y", [
+        # x = (2, 0) is optimal for min x1 + x2, x1 + x2 >= 2; y = 1 proves it
+        ([1.0, 1.0], [[1.0, 1.0]], [REL_GE], [2.0], [2.0, 0.0], [1.0]),
+        # the same with a <= row: the proof needs y <= 0
+        ([-1.0, -1.0], [[1.0, 1.0]], [REL_LE], [2.0], [0.0, 2.0], [-1.0]),
+    ])
+    def test_optimal_point_with_proving_duals_passes(self, c, rows, rels, rhs, x, y):
+        certify(_mk(c, rows, rels, rhs), np.array(x), np.array(y))
+
+    @pytest.mark.parametrize("y", [[0.0], [-1.0], [0.5]], ids=["zero", "wrong-sign", "weak"])
+    def test_duals_that_prove_too_little_are_refused(self, y):
+        lp = _mk([1.0, 1.0], [[1.0, 1.0]], [REL_GE], [2.0])
+        with pytest.raises(NumericalInstability, match="dual bound"):
+            certify(lp, np.array([2.0, 0.0]), np.array(y))
+
+    def test_uniform_mechanism_with_zero_duals_is_refused(self):
+        # feasible, but it costs 1 and the geometric mechanism costs less
+        lp = build_lp(4, 0.62, frozenset(), l0_objective(4))
+        x = uniform(4).matrix.ravel()
+        assert max_violation(lp, x) <= 1e-9
+        with pytest.raises(NumericalInstability, match="above its dual bound"):
+            certify(lp, x, np.zeros(lp.num_constraints))
+
+    def test_negative_reduced_cost_on_an_open_column_is_refused(self):
+        # min -x over x >= 0 has no lower bound, whatever x is offered
+        with pytest.raises(NumericalInstability, match="dual bound"):
+            certify(_mk([-1.0], np.zeros((0, 1)), [], []), np.array([5.0]), np.zeros(0))
+
+    def test_infeasible_point_is_refused(self):
+        lp = build_lp(3, 0.62, frozenset(), l0_objective(3))
+        with pytest.raises(NumericalInstability, match="breaks a constraint"):
+            certify(lp, np.zeros(lp.num_vars), np.zeros(lp.num_constraints))
+
+
+def _run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout's dpmech."""
+    import dpmech
+
+    src = str(Path(dpmech.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestHighsLoader:
+    _SOLVE = ("from dpmech import build_lp, l0_objective, lp, solve_lp\n"
+              "assert solve_lp(build_lp(3, 0.62, {'WH'}, l0_objective(3))).status == 'optimal'\n")
+    _SCIPY = ("import scipy.optimize\n"
+              "from scipy.optimize import linprog\n"
+              "assert linprog([1.0], A_ub=[[-1.0]], b_ub=[-2.0]).status == 0\n")
+    _SAME = ("import scipy.optimize._highspy._core as core\n"
+             "assert lp._highs() is core\n")
+
+    def test_design_command_loads_neither_optimize_nor_sparse(self, tmp_path):
+        out = _run_fresh(
+            "import json, sys\n"
+            "from dpmech import cli\n"
+            "code = cli.main(['design', '--mechanism', 'lp', '--n', '5', '--alpha', '0.62',\n"
+            f"                 '--props', 'WH,CM', '--out', {str(tmp_path / 'm.csv')!r}])\n"
+            "assert code == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+        loaded = json.loads(out.splitlines()[-1])
+        assert "scipy.optimize._highspy._core" in loaded
+        assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
+
+    @pytest.mark.parametrize("first", ["scipy", "solve"])
+    def test_scipy_optimize_imports_before_or_after_a_solve(self, first):
+        steps = [self._SCIPY, self._SOLVE] if first == "scipy" else [self._SOLVE, self._SCIPY]
+        _run_fresh("".join(steps) + self._SAME)
 
 
 class TestDesignMechanism:
@@ -336,7 +411,7 @@ class TestDesignMechanism:
         (8, 0.3, {"WH", "CM"}),
     ])
     def test_optimal_answer_is_certified(self, n, alpha, props):
-        # LPs whose tableaux grow roundoff entries near 1e-12: each must
+        # LPs on which a dense tableau simplex grew roundoff near 1e-12: each must
         # solve, privately and with every requested property
         m = design_mechanism(n, alpha, props, l0_objective(n))
         assert is_dp(m, alpha)
