@@ -311,6 +311,7 @@ def symmetrize(mech: Mechanism) -> Mechanism:
 # ---------------------------------------------------------------------------
 # line 1: "n,alpha" with alpha in (0, 1], or NA when unknown; then n+1 rows of n+1
 # comma-separated probabilities, 17 significant digits (exact round trip).
+# It is read as UTF-8 with or without a byte-order mark.
 # Row index = output i, column index = input j.
 
 def _fmt(x: float) -> str:
@@ -328,7 +329,7 @@ def write_mechanism_csv(mech: Mechanism, path, alpha: float | None = None) -> No
 
 
 def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty mechanism file")

@@ -1,0 +1,56 @@
+"""The per-row CSV ingest loop that `evaluate.ingest_groups` replaced.
+
+It checks and evaluates every row on its own: blank row, too few fields,
+then the 0/1 bit or the predicate.  `ingest_groups` evaluates each distinct
+non-blank cell once, and the equivalence tests hold it to this loop's counts,
+skips, exceptions and messages.
+"""
+
+from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from dpmech.core import _check_n
+from dpmech.errors import ParseError, UnknownColumn
+from dpmech.evaluate import GroupCounts
+
+
+def ingest_groups(csv_path, column: str, group_size: int,
+                  predicate=None) -> GroupCounts:
+    group_size = _check_n(group_size)
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{csv_path}: empty file") from None
+        names = [h.strip() for h in header]
+        if column not in names:
+            raise UnknownColumn(f"{csv_path}: no column {column!r} in header {names}")
+        col = names.index(column)
+        bits = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if col >= len(row):
+                raise ParseError(f"{csv_path}: line {line_no}: too few fields")
+            cell = row[col]
+            if predicate is None:
+                value = cell.strip()
+                if value not in ("0", "1"):
+                    raise ParseError(
+                        f"{csv_path}: line {line_no}: expected a 0/1 bit, got {cell!r}")
+                bits.append(int(value))
+            else:
+                try:
+                    bits.append(1 if predicate(cell) else 0)
+                except ValueError:
+                    raise ParseError(
+                        f"{csv_path}: line {line_no}: cannot evaluate predicate "
+                        f"on {cell!r}") from None
+    groups = len(bits) // group_size
+    arr = np.asarray(bits[:groups * group_size], dtype=np.int64)
+    counts = arr.reshape(groups, group_size).sum(axis=1) if groups else np.zeros(0, np.int64)
+    return GroupCounts(n=group_size, counts=counts)

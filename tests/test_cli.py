@@ -314,3 +314,14 @@ def test_export_heatmap_missing_input_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_FLAGS
     _error_only(capsys)
     assert not out.exists()
+
+
+def test_evaluate_oversized_csv_field_exits_3(tmp_path, capsys):
+    mech = tmp_path / "m.csv"
+    write_mechanism_csv(uniform(1), mech, alpha=1.0)
+    data = tmp_path / "people.csv"
+    data.write_text("bit\n1\n" + "1" * 200_000 + "\n")
+    code = cli.main(["evaluate", "--mech", str(mech), "--data", "csv", "--csv", str(data),
+                     "--predicate", "bit", "--group-size", "1"])
+    assert code == cli.EXIT_DATA
+    assert "line 3: field larger than field limit" in _error_only(capsys)

@@ -345,3 +345,12 @@ class TestMechanismCsv:
         path.write_text("2,NA\n0.5,0.5,0.5\n")
         with pytest.raises(ParseError):
             read_mechanism_csv(path)
+
+    def test_utf8_bom_is_skipped(self, rng, tmp_path):
+        mech = random_mechanism(rng, 3)
+        path = tmp_path / "m.csv"
+        write_mechanism_csv(mech, path, alpha=0.5)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back, alpha = read_mechanism_csv(path)
+        assert alpha == 0.5
+        assert np.array_equal(back.matrix, mech.matrix)
