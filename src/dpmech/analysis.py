@@ -66,23 +66,24 @@ class SelectionResult:
 def select_strategy(n: int, alpha: float, props) -> SelectionResult:
     """Pick one of the four distinct ways to realise a property set at minimal
     wrong-answer cost: the fair mechanism, the geometric mechanism, or an LP
-    solve with weak honesty (alone, or with the column constraints)."""
+    solve with weak honesty (alone, or with the column constraints).  Requires
+    0 < alpha < 1, as the two mechanisms do."""
     n = _check_n(n)
-    alpha = _check_alpha(alpha)
+    alpha = _check_alpha(alpha, open_top=True)
     props = _check_props(props)
     if "F" in props:
         return SelectionResult(
             USE_EM, "fairness requested; the explicit fair mechanism is the "
                     "optimal fair mechanism and carries every other property")
     if "CH" in props or "CM" in props:
-        if alpha <= 0.5:
+        if gm_is_column_monotone(alpha):
             return SelectionResult(
                 USE_GM, f"column properties requested but alpha={alpha} <= 1/2, "
                         "where the geometric mechanism is already column monotone")
         return SelectionResult(
             SOLVE_LP_WH_CM, "column properties requested at alpha > 1/2; solve "
                             "the LP with weak honesty and column monotonicity")
-    threshold = np.inf if alpha == 1.0 else 2.0 * alpha / (1.0 - alpha)
+    threshold = gm_weak_honesty_threshold(alpha)
     if "WH" in props and n < threshold:
         return SelectionResult(
             SOLVE_LP_WH, f"weak honesty requested and n={n} is below the "

@@ -49,11 +49,8 @@ def _load_weights(spec: str, n: int) -> np.ndarray:
 def _build_objective(name: str, d: int, weights: np.ndarray) -> core.Objective:
     if d and name != "l0d":
         raise ValueError(f"--d applies only to --objective l0d, not {name}")
-    if name == "l1":
-        return core.Objective(p=1, weights=weights)
-    if name == "l2":
-        return core.Objective(p=2, weights=weights)
-    return core.Objective(p=0, weights=weights, d=d, rescale=True)
+    p = {"l0": 0, "l0d": 0, "l1": 1, "l2": 2}[name]
+    return core.Objective(p=p, weights=weights, d=d)
 
 
 def _emit(doc: dict) -> None:

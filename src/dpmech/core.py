@@ -190,17 +190,15 @@ def uniform_weights(n: int) -> np.ndarray:
 class Objective:
     """Parameters of the expected-distance loss.
 
-    ``p`` is the distance exponent, ``weights`` a prior over true counts,
-    ``d`` the tail offset (only cells with |i-j| >= d count, with d forced to
-    at least 1 when p == 0 so the diagonal never contributes), ``rescale``
-    multiplies by (n+1)/n so the input-blind uniform mechanism costs 1.
-    The loss is the weighted sum over true counts of each column's cost.
+    ``p`` is the distance exponent, ``weights`` a prior over true counts and
+    ``d`` the tail offset: only cells with |i-j| >= d count, or >= max(d, 1)
+    when p == 0.  A p == 0 loss is multiplied by (n+1)/n, so the input-blind
+    uniform mechanism costs 1.  ``cell_costs`` gives the loss cell by cell.
     """
 
     p: int
     weights: np.ndarray
     d: int = 0
-    rescale: bool = False
 
     def __post_init__(self):
         if self.p < 0 or int(self.p) != self.p:
@@ -218,11 +216,11 @@ class Objective:
 
 
 def l0_objective(n: int) -> Objective:
-    return Objective(p=0, weights=uniform_weights(n), d=0, rescale=True)
+    return Objective(p=0, weights=uniform_weights(n), d=0)
 
 
 def l0d_objective(n: int, d: int) -> Objective:
-    return Objective(p=0, weights=uniform_weights(n), d=d, rescale=True)
+    return Objective(p=0, weights=uniform_weights(n), d=d)
 
 
 def l1_objective(n: int) -> Objective:
@@ -238,33 +236,30 @@ def _distances(n: int) -> np.ndarray:
     return np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
 
 
-def _distance_mask(n: int, p: int, d: int):
-    dist = _distances(n)
-    d_eff = max(d, 1) if p == 0 else d
-    mask = dist >= d_eff
-    factor = mask.astype(np.float64) if p == 0 else np.where(mask, dist.astype(np.float64) ** p, 0.0)
-    return factor
-
-
 def _check_objective(obj: Objective, n: int) -> None:
-    """Check that obj fits group size n: n+1 weights, d <= n, n >= 1 if rescaled."""
+    """Check that obj fits group size n: n+1 weights, d <= n, n >= 1 if p == 0."""
     if obj.weights.size != n + 1:
         raise DimensionMismatch(
             f"objective weights have length {obj.weights.size}, mechanism needs {n + 1}")
     _check_d(obj.d, n)
-    if obj.rescale and n == 0:
-        raise UndefinedForN0("rescaled objectives are undefined for n=0")
+    if obj.p == 0 and n == 0:
+        raise UndefinedForN0("p=0 objectives are undefined for n=0")
+
+
+def cell_costs(obj: Objective, n: int) -> np.ndarray:
+    """The (n+1) x (n+1) grid whose cell [i, j] is the cost, as ``Objective``
+    defines it, of answering i when the true count is j; a mechanism's loss is
+    the sum of these costs times its entries."""
+    _check_objective(obj, n)
+    dist = _distances(n)
+    if obj.p == 0:
+        return (dist >= max(obj.d, 1)) * (obj.weights * ((n + 1) / n))
+    return np.where(dist >= obj.d, dist.astype(np.float64) ** obj.p, 0.0) * obj.weights
 
 
 def objective_value(mech: Mechanism, obj: Objective) -> float:
     """Evaluate the loss of a mechanism under the given objective."""
-    n = mech.n
-    _check_objective(obj, n)
-    per_column = (mech.matrix * _distance_mask(n, obj.p, obj.d)).sum(axis=0)
-    value = float(obj.weights @ per_column)
-    if obj.rescale:
-        value *= (n + 1) / n
-    return value
+    return float(cell_costs(obj, mech.n).ravel() @ mech.matrix.ravel())
 
 
 def _tail_costs(mech: Mechanism) -> np.ndarray:
@@ -329,8 +324,11 @@ def write_mechanism_csv(mech: Mechanism, path, alpha: float | None = None) -> No
 
 
 def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
     if not lines:
         raise ParseError(f"{path}: empty mechanism file")
     head = lines[0].split(",")

@@ -86,6 +86,8 @@ class EvalConfig:
         _check_d(self.d)
         if self.metric not in ("l0d", "rmse"):
             raise ValueError(f"metric must be 'l0d' or 'rmse', got {self.metric!r}")
+        if self.d and self.metric != "l0d":
+            raise ValueError(f"d applies only to the l0d metric, not {self.metric}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def ingest_groups(csv_path, column: str, group_size: int,
     file order; a trailing incomplete group is dropped.  Rows whose cells are
     all blank are skipped.  The file is UTF-8, with or without a byte-order
     mark.  Errors raise ParseError naming the record's line number (the
-    header is line 1).
+    header is line 1), or that the file is not valid UTF-8.
 
     The predicate must be a pure function of the cell's text: it is called
     once per distinct non-blank cell, and every later row holding the same
@@ -202,6 +204,8 @@ def ingest_groups(csv_path, column: str, group_size: int,
             header = next(reader, None)
         except csv.Error as exc:
             raise ParseError(f"{csv_path}: line 1: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{csv_path}: not valid UTF-8") from None
         if header is None:
             raise ParseError(f"{csv_path}: empty file")
         names = [h.strip() for h in header]
@@ -250,6 +254,8 @@ def ingest_groups(csv_path, column: str, group_size: int,
                 append(bit)
         except csv.Error as exc:
             raise ParseError(f"{csv_path}: line {len(bits) + skipped + 2}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{csv_path}: not valid UTF-8") from None
     groups = len(bits) // group_size
     arr = np.frombuffer(bits, np.uint8)[:groups * group_size]
     return GroupCounts(n=group_size,

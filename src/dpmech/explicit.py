@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Mechanism, _check_alpha, _check_n, new_mechanism
+from .core import Mechanism, _check_alpha, _check_n, _distances, new_mechanism
 
 __all__ = [
     "geometric",
@@ -45,7 +45,7 @@ def geometric(n: int, alpha: float) -> Mechanism:
     x = 1.0 / (1.0 + alpha)
     y = (1.0 - alpha) / (1.0 + alpha)
     pows = _powers(alpha, n + 1)
-    dist = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+    dist = _distances(n)
     scale = np.full(n + 1, y)
     scale[0] = x
     scale[n] = x
@@ -70,7 +70,7 @@ def explicit_fair(n: int, alpha: float) -> Mechanism:
     y = fair_diagonal(n, alpha)
     pows = _powers(alpha, n + 1)
     idx = np.arange(n + 1)
-    dist = np.abs(np.subtract.outer(idx, idx))
+    dist = _distances(n)
     edge = np.minimum(idx, n - idx)[None, :]
     exponent = np.where(dist < edge, dist, (dist + edge + 1) // 2)
     return new_mechanism(n, y * pows[exponent])

@@ -41,10 +41,9 @@ from .core import (
     Objective,
     _check_alpha,
     _check_n,
-    _check_objective,
     _check_props,
-    _distance_mask,
     _sides,
+    cell_costs,
 )
 from .errors import LpInternalError, NumericalInstability
 
@@ -148,7 +147,7 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     n = _check_n(n)
     size = n + 1
     nv = size * size
-    _check_objective(obj, n)
+    c = cell_costs(obj, n).ravel()
     props = _check_props(props)
 
     # each block is the rows x[p] - k*x[q] {rel} rhs, one per (p, q) pair;
@@ -177,12 +176,6 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         if q is not None:
             a[rows, q.ravel()] = -k
         start += p.size
-
-    # objective: w_j * |i-j|^p on cells with |i-j| >= d (>= max(d,1) for p=0,
-    # so the diagonal never contributes); rescale folds into the coefficients
-    c = (_distance_mask(n, obj.p, obj.d) * obj.weights[None, :]).reshape(nv)
-    if obj.rescale:
-        c = c * (size / n)
 
     return LinearProgram(
         c=c,

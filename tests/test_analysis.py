@@ -116,6 +116,11 @@ class TestSelectStrategy:
         r = select_strategy(5, 0.9, {"F"})
         assert isinstance(r.rationale, str) and r.rationale
 
+    @pytest.mark.parametrize("props", [frozenset(), {"WH"}, {"CM"}, {"F"}])
+    def test_rejects_alpha_1_where_neither_mechanism_exists(self, props):
+        with pytest.raises(AlphaOutOfRange):
+            select_strategy(5, 1.0, props)
+
     @pytest.mark.parametrize("n", [0, -2, 2.5])
     def test_rejects_bad_group_size(self, n):
         with pytest.raises(ValueError, match="group size"):

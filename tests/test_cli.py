@@ -325,3 +325,43 @@ def test_evaluate_oversized_csv_field_exits_3(tmp_path, capsys):
                      "--predicate", "bit", "--group-size", "1"])
     assert code == cli.EXIT_DATA
     assert "line 3: field larger than field limit" in _error_only(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--n", "5", "--props", "wh"],
+    ["design", "--mechanism", "gm", "--n", "5", "--out", "m.csv"],
+    ["design", "--mechanism", "em", "--n", "5", "--out", "m.csv"],
+])
+def test_alpha_1_exits_2_where_neither_mechanism_exists(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([*argv, "--alpha", "1"])
+    assert code == cli.EXIT_FLAGS
+    assert "alpha must lie in (0, 1)" in _error_only(capsys)
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--in", "m.csv"], cli.EXIT_FLAGS),
+    (["export-heatmap", "--in", "m.csv", "--out", "heat.csv"], cli.EXIT_FLAGS),
+    (["evaluate", "--mech", "m.csv", "--data", "binomial", "--group-size", "1"],
+     cli.EXIT_DATA),
+    (["evaluate", "--mech", "ok.csv", "--data", "csv", "--csv", "m.csv",
+      "--predicate", "bit", "--group-size", "1"], cli.EXIT_DATA),
+])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    write_mechanism_csv(uniform(1), tmp_path / "ok.csv", alpha=1.0)
+    (tmp_path / "m.csv").write_bytes(b"bit\n1,NA\nS\xe9te\n")
+    assert cli.main(argv) == code
+    assert "m.csv: not valid UTF-8" in _error_only(capsys)
+    assert not (tmp_path / "heat.csv").exists()
+
+
+def test_evaluate_tail_offset_with_rmse_exits_2_before_reading(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["evaluate", "--mech", "missing.csv", "--data", "binomial",
+                     "--group-size", "2", "--metric", "rmse", "--d", "2"])
+    assert code == cli.EXIT_FLAGS
+    assert "d applies only to the l0d metric" in _error_only(capsys)

@@ -1,5 +1,7 @@
 """Mechanism model, predicates, objectives and symmetrization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,21 +42,22 @@ from dpmech.errors import (
     ParseError,
     UndefinedForN0,
 )
+from dpmech.lp import build_lp, solve_lp
+
+
+def brute_cell_costs(n, p, weights, d=0, rescale=False):
+    """Independent loop-based oracle for the objective semantics: the cost of
+    answering i when the true count is j, as rows i of columns j."""
+    d_eff = max(d, 1) if p == 0 else d
+    scale = (n + 1) / n if rescale else 1.0
+    return [[weights[j] * (abs(i - j) ** p if p else 1.0) * scale if abs(i - j) >= d_eff
+             else 0.0 for j in range(n + 1)] for i in range(n + 1)]
 
 
 def brute_objective(matrix, p, weights, d=0, rescale=False):
-    """Independent loop-based oracle for the objective semantics."""
     n = len(matrix) - 1
-    d_eff = max(d, 1) if p == 0 else d
-    per_col = []
-    for j in range(n + 1):
-        s = 0.0
-        for i in range(n + 1):
-            if abs(i - j) >= d_eff:
-                s += matrix[i][j] * (abs(i - j) ** p if p else 1.0)
-        per_col.append(s)
-    val = sum(w * s for w, s in zip(weights, per_col))
-    return val * ((n + 1) / n) if rescale else val
+    costs = brute_cell_costs(n, p, weights, d, rescale)
+    return sum(matrix[i][j] * costs[i][j] for i in range(n + 1) for j in range(n + 1))
 
 
 class TestNewMechanism:
@@ -196,8 +199,8 @@ class TestObjectiveValue:
             w /= w.sum()
             p = int(rng.integers(0, 3))
             d = int(rng.integers(0, n + 1))
-            obj = Objective(p=p, weights=w, d=d, rescale=bool(rng.random() < 0.5))
-            expected = brute_objective(m.matrix, p, w, d, obj.rescale)
+            obj = Objective(p=p, weights=w, d=d)
+            expected = brute_objective(m.matrix, p, w, d, rescale=(p == 0))
             assert objective_value(m, obj) == pytest.approx(expected, abs=1e-12)
 
     def test_non_finite_weights_rejected(self):
@@ -214,8 +217,14 @@ class TestObjectiveValue:
         with pytest.raises(DimensionMismatch):
             objective_value(uniform(2), Objective(p=1, weights=uniform_weights(2), d=5))
 
+    def test_p0_objective_is_undefined_for_n0(self):
+        with pytest.raises(UndefinedForN0):
+            objective_value(Mechanism([[1.0]]), Objective(p=0, weights=[1.0]))
+        assert objective_value(Mechanism([[1.0]]), Objective(p=1, weights=[1.0])) == 0.0
+
     def test_fair_cost_is_weight_independent(self, rng):
-        # with a constant diagonal y, the p=0 sum objective is 1-y for every prior
+        # with a constant diagonal y, the p=0 objective is (n+1)/n * (1-y) for
+        # every prior
         for _ in range(5):
             n = int(rng.integers(1, 7))
             mech = random_fair_mechanism(rng, n)
@@ -224,7 +233,23 @@ class TestObjectiveValue:
                 w = rng.uniform(0.05, 1.0, n + 1)
                 w /= w.sum()
                 obj = Objective(p=0, weights=w)
-                assert objective_value(mech, obj) == pytest.approx(1.0 - y, abs=1e-12)
+                assert objective_value(mech, obj) == pytest.approx(
+                    (n + 1) / n * (1.0 - y), abs=1e-12)
+
+    def test_lp_costs_and_objective_match_brute_oracle(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(1, 6))
+            w = rng.uniform(0.1, 1.0, n + 1)
+            w /= w.sum()
+            p = int(rng.integers(0, 3))
+            d = int(rng.integers(0, n + 1))
+            obj = Objective(p=p, weights=w, d=d)
+            problem = build_lp(n, 0.62, {"WH"}, obj)
+            np.testing.assert_array_equal(
+                problem.c, np.ravel(brute_cell_costs(n, p, w, d, rescale=(p == 0))))
+            sol = solve_lp(problem)
+            mech = Mechanism(sol.values.reshape(n + 1, n + 1))
+            assert sol.objective_value == pytest.approx(objective_value(mech, obj), abs=1e-12)
 
 
 class TestL0Score:
@@ -344,6 +369,12 @@ class TestMechanismCsv:
         path = tmp_path / "bad.csv"
         path.write_text("2,NA\n0.5,0.5,0.5\n")
         with pytest.raises(ParseError):
+            read_mechanism_csv(path)
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,NA\n1,0\n0,1\n# caf\xe9\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid UTF-8$"):
             read_mechanism_csv(path)
 
     def test_utf8_bom_is_skipped(self, rng, tmp_path):

@@ -104,6 +104,12 @@ class TestInputRules:
         with pytest.raises(ValueError, match="d must be a non-negative integer"):
             EvalConfig(d=1.5)
 
+    def test_eval_config_tail_offset_needs_the_l0d_metric(self):
+        with pytest.raises(ValueError, match="d applies only to the l0d metric, not rmse"):
+            EvalConfig(d=2, metric="rmse")
+        assert EvalConfig(d=2, metric="l0d").d == 2
+        assert EvalConfig(d=0, metric="rmse").d == 0
+
     @pytest.mark.parametrize("reps", [0, -3, 2.5])
     def test_eval_config_reps_must_be_a_positive_integer(self, reps):
         with pytest.raises(ValueError, match="reps must be an integer >= 1"):

@@ -1,6 +1,7 @@
 """CSV ingest: equivalence with the per-row reference loop, the one-call-per-
 distinct-cell contract, line numbers, byte-order marks and csv errors."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -104,6 +105,17 @@ def test_utf8_bom_is_skipped(tmp_path):
     _, pred = parse_predicate("age>=65")
     assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
     assert ingest_groups(path, "flag", 2).counts.tolist() == [1]
+
+
+@pytest.mark.parametrize("text", [
+    b"age,flag\n70,1\nS\xe9te,0\n",
+    b"age,flag\n" + b"70,1\n" * 10_000 + b"S\xe9te,0\n",
+], ids=["first-chunk", "later-chunk"])
+def test_non_utf8_file_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid UTF-8$"):
+        ingest_groups(path, "flag", 1)
 
 
 @pytest.mark.parametrize("head, tail, line", [

@@ -436,9 +436,9 @@ class TestDesignMechanism:
         for _ in range(3):
             w = rng.uniform(0.05, 1.0, n + 1)
             w /= w.sum()
-            obj = Objective(p=0, weights=w, rescale=True)
+            obj = Objective(p=0, weights=w)
             m = design_mechanism(n, 0.7, {"F"}, obj)
-            # rescaled p=0 objective of a fair mechanism is weight independent
+            # the p=0 objective of a fair mechanism is weight independent
             costs.append(l0_score(m))
         assert np.ptp(costs) <= 1e-8
         assert costs[0] == pytest.approx(em_l0_cost(4, 0.7), abs=1e-8)
