@@ -41,8 +41,18 @@ def _parse_props(text: str) -> frozenset:
 def _load_weights(spec: str, n: int) -> np.ndarray:
     if spec == "uniform":
         return core.uniform_weights(n)
-    with open(spec, "r", encoding="utf-8") as fh:
-        values = [float(v) for v in fh.read().replace(",", " ").split()]
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            tokens = fh.read().replace(",", " ").split()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{spec}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start})") from None
+    values = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"{spec}: weight {token!r} is not a number") from None
     return np.asarray(values)
 
 

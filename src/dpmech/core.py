@@ -76,7 +76,9 @@ def _check_props(props) -> frozenset:
 class Mechanism:
     """Validated, immutable column-stochastic mechanism matrix."""
 
-    __slots__ = ("matrix", "n")
+    # __weakref__ lets the sampler remember its last draw without keeping
+    # the mechanism alive; that memo relies on no attribute being rebound
+    __slots__ = ("matrix", "n", "__weakref__")
 
     def __init__(self, entries):
         matrix = np.array(entries, dtype=np.float64)
@@ -94,8 +96,14 @@ class Mechanism:
             j = int(np.argmax(off))
             raise ColumnSumError(f"column {j} sums to {sums[j]}, not 1 (tol {TOL})")
         matrix.setflags(write=False)
-        self.matrix = matrix
-        self.n = matrix.shape[0] - 1
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "n", matrix.shape[0] - 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mechanism is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Mechanism, (self.matrix,)
 
     def trace(self) -> float:
         return float(np.trace(self.matrix))

@@ -358,6 +358,21 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, c
     assert not (tmp_path / "heat.csv").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"0.25 0.25\n0.25 x\n", "w.txt: weight 'x' is not a number"),
+    (b"0.25 0.25\n0.25 S\xe9\n", "w.txt: not valid UTF-8 (byte 0xe9 at offset 16)"),
+])
+def test_design_bad_weights_file_names_the_file_and_token(tmp_path, capsys, monkeypatch,
+                                                           content, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_bytes(content)
+    code = cli.main(["design", "--mechanism", "gm", "--n", "3", "--alpha", "0.5",
+                     "--weights", "w.txt", "--out", "m.csv"])
+    assert code == cli.EXIT_FLAGS
+    assert message in _error_only(capsys)
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_evaluate_tail_offset_with_rmse_exits_2_before_reading(tmp_path, capsys,
                                                                monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
 """Mechanism model, predicates, objectives and symmetrization."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -100,6 +102,20 @@ class TestNewMechanism:
         m = uniform(2)
         with pytest.raises(ValueError):
             m.matrix[0, 0] = 0.5
+
+    def test_attributes_cannot_be_rebound(self):
+        m = uniform(2)
+        for name, value in (("matrix", np.eye(3)), ("n", 5)):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, value)
+        assert m.n == 2 and m.matrix[0, 0] == 1 / 3
+
+    def test_pickles_and_copies_by_value(self):
+        m = geometric(3, 0.5)
+        for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert twin is not m and twin.n == 3
+            assert np.array_equal(twin.matrix, m.matrix)
+            assert not twin.matrix.flags.writeable
 
 
 class TestIsDp:

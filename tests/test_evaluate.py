@@ -1,7 +1,14 @@
 """CSV ingestion, predicate parsing and the seeded empirical metrics."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _sampling_reference
 
 from dpmech import (
     EvalConfig,
@@ -17,6 +24,7 @@ from dpmech import (
     parse_predicate,
     uniform,
 )
+from dpmech.core import TOL
 from dpmech.errors import ParseError, UnknownColumn
 
 
@@ -127,13 +135,19 @@ class TestInputRules:
 class TestEmpiricalMetrics:
     @pytest.mark.parametrize("metric", [empirical_l0d, empirical_rmse])
     def test_same_seed_same_reps(self, metric):
-        rng = np.random.default_rng(7)
-        groups = GroupCounts(n=6, counts=rng.binomial(6, 0.4, size=500))
-        mech = geometric(6, 0.7)
-        cfg = EvalConfig(reps=5, seed=11, d=1)
-        first = metric(mech, groups, cfg)
+        d = 1 if metric is empirical_l0d else 0
+        counts = np.random.default_rng(7).binomial(6, 0.4, size=500)
+        cfg = EvalConfig(reps=5, seed=11, d=d)
+        first = metric(geometric(6, 0.7), GroupCounts(n=6, counts=counts), cfg)
+        # equal but distinct objects, so the repeat draws again from scratch
+        mech, groups = geometric(6, 0.7), GroupCounts(n=6, counts=counts.copy())
         assert first.per_rep == metric(mech, groups, cfg).per_rep
-        assert first.per_rep != metric(mech, groups, EvalConfig(reps=5, seed=12, d=1)).per_rep
+        assert first.per_rep != metric(mech, groups, EvalConfig(reps=5, seed=12, d=d)).per_rep
+
+    def test_rmse_rejects_a_tail_offset(self):
+        groups = GroupCounts(n=2, counts=np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="d applies only to the l0d metric, not rmse"):
+            empirical_rmse(geometric(2, 0.5), groups, EvalConfig(d=1))
 
     @pytest.mark.parametrize("metric", [empirical_l0d, empirical_rmse])
     def test_identity_mechanism_scores_zero(self, metric):
@@ -144,16 +158,9 @@ class TestEmpiricalMetrics:
 
 
 def _sampled_outputs(mech, counts, reps=3, seed=5):
-    """The outputs of every draw of _run_reps, captured by a recording stat."""
-    seen = []
-
-    def record(outputs, true):
-        seen.append(outputs.copy())
-        return 0.0
-
+    """The outputs of every draw, one array per rep."""
     groups = GroupCounts(n=mech.n, counts=counts)
-    evaluate._run_reps(mech, groups, EvalConfig(reps=reps, seed=seed), record)
-    return seen
+    return list(evaluate._draws(mech, groups, seed, reps))
 
 
 def _dense_outputs(matrix, counts, draws):
@@ -248,3 +255,105 @@ class TestSampler:
         assert got.min() >= 0 and got.max() <= 2
         clipped = _dense_outputs(np.maximum(matrix, 0.0), counts, [values])[0]
         assert np.array_equal(got, clipped)
+
+
+def _mechanism_near_the_floor(rng, n):
+    """Valid mechanism with some zero entries and some as low as -TOL, the
+    deficit moved onto another entry of the same column."""
+    m = rng.random((n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < 0.6)
+    m[rng.integers(0, n + 1, size=n + 1), np.arange(n + 1)] += 0.1
+    m /= m.sum(axis=0)
+    for j in range(n + 1):
+        if rng.random() < 0.5:
+            low, high = rng.choice(n + 1, size=2, replace=False)
+            shortfall = m[low, j] + TOL * rng.random()
+            m[low, j] -= shortfall
+            m[high, j] += shortfall
+    return new_mechanism(n, m)
+
+
+class TestOneDraw:
+    """l0d at every d and RMSE read one seeded draw, and equal the loop that
+    drew again for each statistic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), reps=st.integers(1, 4),
+           seed=st.integers(0, 2**64 - 1), size=st.integers(1, 40))
+    def test_matches_the_per_statistic_loop(self, data, n, reps, seed, size):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mech = _mechanism_near_the_floor(rng, n)
+        groups = GroupCounts(n=n, counts=rng.integers(0, n + 1, size=size))
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from(["l0d", "rmse"]), st.integers(0, n + 1), st.booleans()),
+            min_size=1, max_size=6))
+        for metric, d, fresh in calls:
+            if fresh:
+                mech = new_mechanism(n, mech.matrix)
+                groups = GroupCounts(n=n, counts=groups.counts.copy())
+            if metric == "l0d":
+                cfg = EvalConfig(reps=reps, seed=seed, d=d)
+                got = empirical_l0d(mech, groups, cfg)
+                want = _sampling_reference.empirical_l0d(mech, groups, cfg)
+            else:
+                cfg = EvalConfig(reps=reps, seed=seed, metric="rmse")
+                got = empirical_rmse(mech, groups, cfg)
+                want = _sampling_reference.empirical_rmse(mech, groups, cfg)
+            assert got.per_rep == want.per_rep
+            assert (got.mean, got.std_error) == (want.mean, want.std_error)
+
+    def _counting(self, monkeypatch):
+        calls = []
+        real = evaluate.substream
+
+        def counted(seed, k):
+            calls.append((seed, k))
+            return real(seed, k)
+
+        monkeypatch.setattr(evaluate, "substream", counted)
+        return calls
+
+    def _objects(self):
+        counts = np.random.default_rng(3).binomial(5, 0.5, size=200)
+        return geometric(5, 0.6), GroupCounts(n=5, counts=counts)
+
+    def test_three_statistics_draw_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        mech, groups = self._objects()
+        empirical_l0d(mech, groups, EvalConfig(reps=4, seed=9, d=0))
+        empirical_l0d(mech, groups, EvalConfig(reps=4, seed=9, d=2))
+        empirical_rmse(mech, groups, EvalConfig(reps=4, seed=9, metric="rmse"))
+        assert calls == [(9, r) for r in range(4)]
+
+    @pytest.mark.parametrize("change", ["groups", "mech", "seed", "reps"])
+    def test_other_objects_or_settings_draw_again(self, monkeypatch, change):
+        calls = self._counting(monkeypatch)
+        mech, groups = self._objects()
+        empirical_l0d(mech, groups, EvalConfig(reps=2, seed=9))
+        cfg = EvalConfig(reps=2, seed=9)
+        if change == "groups":
+            groups = GroupCounts(n=5, counts=groups.counts.copy())
+        elif change == "mech":
+            mech = new_mechanism(5, mech.matrix)
+        elif change == "seed":
+            cfg = EvalConfig(reps=2, seed=10)
+        else:
+            cfg = EvalConfig(reps=3, seed=9)
+        empirical_l0d(mech, groups, cfg)
+        assert len(calls) == 2 + cfg.reps
+
+    def test_remembered_counts_are_read_only(self):
+        mech, groups = self._objects()
+        counts = evaluate._error_counts(mech, groups, 9, 2)
+        assert counts is evaluate._error_counts(mech, groups, 9, 2)
+        assert counts.dtype == np.int64 and counts.shape == (2, 11)
+        assert counts.sum(axis=1).tolist() == [200, 200]
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0, 0] = 1
+
+    def test_memo_keeps_no_caller_object_alive(self):
+        mech, groups = self._objects()
+        empirical_rmse(mech, groups, EvalConfig(reps=2, seed=9))
+        refs = weakref.ref(mech), weakref.ref(groups)
+        del mech, groups
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
