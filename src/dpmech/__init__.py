@@ -52,6 +52,7 @@ from .explicit import (
     uniform,
 )
 from .lp import (
+    CooMatrix,
     LinearProgram,
     LpSolution,
     build_lp,

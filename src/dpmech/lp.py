@@ -3,7 +3,10 @@
 ``build_lp`` encodes the feasible region of alpha-private mechanisms --
 column-sum equalities and the adjacent-column ratio inequalities over
 nonnegative variables -- plus one linear row per requested structural
-property, over variables rho[i, j] flattened row-major as i*(n+1)+j.
+property, over variables rho[i, j] flattened row-major as i*(n+1)+j.  Each
+row touches at most n+1 cells, so the constraint matrix is held as
+coordinate triplets (``CooMatrix``) and never as a dense array: the n=128
+LP has 82,689 nonzeros in a 33,153 x 16,641 matrix.
 
 ``solve_lp`` hands the LP, as compressed columns, to the compiled HiGHS
 binding that ships inside scipy (``scipy.optimize._highspy._core``).  The
@@ -59,11 +62,67 @@ STATUS_UNBOUNDED = "unbounded"
 
 
 @dataclass(eq=False)
+class CooMatrix:
+    """A sparse matrix as coordinate triplets: entry k is a[row[k], col[k]] = data[k].
+
+    No (row, col) pair may repeat, so every entry has one meaning; the
+    triplets may come in any order.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        self.row = np.asarray(self.row, dtype=np.intp)
+        self.col = np.asarray(self.col, dtype=np.intp)
+        self.data = np.asarray(self.data, dtype=np.float64)
+        self.shape = (int(self.shape[0]), int(self.shape[1]))
+        if not (self.row.ndim == self.col.ndim == self.data.ndim == 1
+                and self.row.size == self.col.size == self.data.size):
+            raise ValueError("row, col and data must be 1-d and of one length")
+        for idx, bound, name in ((self.row, self.shape[0], "row"),
+                                 (self.col, self.shape[1], "col")):
+            if idx.size and not (idx.min() >= 0 and idx.max() < bound):
+                raise ValueError(f"{name} index out of range [0, {bound})")
+        keys = np.sort(self.row * self.shape[1] + self.col)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("a (row, col) pair appears twice")
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.row, self.col] = self.data
+        return dense
+
+    def __getitem__(self, rows) -> np.ndarray:
+        """The selected rows, dense; for reference code that slices ``a`` by row."""
+        return self.toarray()[rows]
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """a @ x"""
+        return np.bincount(self.row, weights=self.data * x[self.col], minlength=self.shape[0])
+
+    def rdot(self, y: np.ndarray) -> np.ndarray:
+        """a.T @ y"""
+        return np.bincount(self.col, weights=self.data * y[self.row], minlength=self.shape[1])
+
+
+@dataclass(eq=False)
 class LinearProgram:
-    """minimize c.x subject to a x {<=,==,>=} b and lo <= x <= hi."""
+    """minimize c.x subject to a x {<=,==,>=} b and lo <= x <= hi.
+
+    ``a`` is a ``CooMatrix`` of shape (b.size, c.size).  ``a[rows]`` densifies
+    the selected rows, for reference code only; the solve, ``max_violation``,
+    ``certify`` and ``dump`` read the triplets.
+    """
 
     c: np.ndarray
-    a: np.ndarray
+    a: CooMatrix
     rel: np.ndarray
     b: np.ndarray
     lo: np.ndarray
@@ -71,12 +130,16 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64).reshape(-1, self.c.size)
         self.rel = np.asarray(self.rel, dtype=np.int8)
         self.b = np.asarray(self.b, dtype=np.float64)
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)
-        if not (self.a.shape[0] == self.rel.size == self.b.size):
+        if not isinstance(self.a, CooMatrix):
+            raise TypeError(f"a must be a CooMatrix, got {type(self.a).__name__}")
+        if self.a.shape != (self.b.size, self.c.size):
+            raise ValueError(f"a has shape {self.a.shape}, but b and c give "
+                             f"{(self.b.size, self.c.size)}")
+        if self.rel.size != self.b.size:
             raise ValueError("constraint arrays disagree in length")
         if not (self.c.size == self.lo.size == self.hi.size):
             raise ValueError("bound arrays disagree with variable count")
@@ -101,7 +164,7 @@ class LinearProgram:
             c <var> <value>                          nonzero objective coefficient
             bound <var> <lo> <hi>                    one per variable
             row <row> <rel> <rhs>                    one per row, rel is <=, == or >=
-            a <row> <var> <value>                    nonzero constraint coefficient
+            a <row> <var> <value>                    one per triplet of a, row-major
         """
         fh.write(f"minimize {self.num_vars} {self.num_constraints}\n")
         fh.writelines(f"c {k} {self.c[k]:.17g}\n" for k in np.flatnonzero(self.c))
@@ -109,7 +172,10 @@ class LinearProgram:
                       for k, (lo, hi) in enumerate(zip(self.lo, self.hi)))
         fh.writelines(f"row {r} {_REL_TEXT[int(rel)]} {rhs:.17g}\n"
                       for r, (rel, rhs) in enumerate(zip(self.rel, self.b)))
-        fh.writelines(f"a {r} {k} {self.a[r, k]:.17g}\n" for r, k in zip(*np.nonzero(self.a)))
+        a = self.a
+        order = np.lexsort((a.col, a.row))
+        fh.writelines(f"a {r} {k} {v:.17g}\n"
+                      for r, k, v in zip(a.row[order], a.col[order], a.data[order]))
 
 
 @dataclass(eq=False)
@@ -124,7 +190,7 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     worst = max(float(np.max(lp.lo - x, initial=0.0)),
                 float(np.max(x - lp.hi, initial=0.0)))
     if lp.num_constraints:
-        ax = lp.a @ x
+        ax = lp.a.dot(x)
         le = lp.rel == REL_LE
         ge = lp.rel == REL_GE
         eq = lp.rel == REL_EQ
@@ -165,21 +231,27 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
             blocks.append((p, q, 1.0, REL_EQ if prop in _EQUALITIES else REL_GE, 0.0))
 
     counts = [size] + [p.size for p, *_ in blocks]
-    a = np.zeros((sum(counts), nv))
-    a[np.arange(size)[:, None], cells.T] = 1.0  # column sums
     rel = np.repeat([REL_EQ] + [blk[3] for blk in blocks], counts)
     b = np.repeat([1.0] + [blk[4] for blk in blocks], counts)
+    # row j of the column sums holds every cell of column j
+    row = [np.repeat(np.arange(size), size)]
+    col = [cells.T.ravel()]
+    data = [np.ones(nv)]
     start = size
     for p, q, k, _, _ in blocks:
         rows = np.arange(start, start + p.size)
-        a[rows, p.ravel()] = 1.0
+        row.append(rows)
+        col.append(p.ravel())
+        data.append(np.ones(p.size))
         if q is not None:
-            a[rows, q.ravel()] = -k
+            row.append(rows)
+            col.append(q.ravel())
+            data.append(np.full(p.size, -k))
         start += p.size
 
     return LinearProgram(
         c=c,
-        a=a,
+        a=CooMatrix(np.concatenate(row), np.concatenate(col), np.concatenate(data), (start, nv)),
         rel=rel,
         b=b,
         lo=np.zeros(nv),
@@ -246,7 +318,7 @@ def certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> None:
             f"LP point breaks a constraint by {violation:.3g} (limit {TOL:g})")
     y = np.where(lp.rel == REL_GE, np.maximum(y, 0.0),
                  np.where(lp.rel == REL_LE, np.minimum(y, 0.0), y))
-    z = lp.c - lp.a.T @ y
+    z = lp.c - lp.a.rdot(y)
     open_top = ~np.isfinite(lp.hi)
     hi = np.where(open_top, lp.lo, lp.hi)
     bound = float(lp.b @ y + np.minimum(z * lp.lo, z * hi).sum())
@@ -274,17 +346,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lo, lp.hi
     model.row_lower_ = np.where(lp.rel == REL_LE, -np.inf, lp.b)
     model.row_upper_ = np.where(lp.rel == REL_GE, np.inf, lp.b)
-    # compressed columns: the nonzeros of a, column by column; scanning a in
-    # memory order and sorting the few nonzeros is 3x faster than scanning a.T
-    flat = np.flatnonzero(lp.a)
-    rows, cols = np.divmod(flat, nv)
-    order = np.argsort(cols, kind="stable")
+    # compressed columns: the triplets of a sorted by column, then by row
+    a = lp.a
+    order = np.lexsort((a.row, a.col))
     matrix = model.a_matrix_
     matrix.format_ = h.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = nv, m
-    matrix.start_ = np.searchsorted(cols[order], np.arange(nv + 1))
-    matrix.index_ = rows[order]
-    matrix.value_ = lp.a.ravel()[flat[order]]
+    matrix.start_ = np.searchsorted(a.col[order], np.arange(nv + 1))
+    matrix.index_ = a.row[order]
+    matrix.value_ = a.data[order]
 
     highs = h._Highs()
     for name, value in _HIGHS_OPTIONS:

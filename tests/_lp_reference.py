@@ -14,14 +14,22 @@ from itertools import combinations
 
 import numpy as np
 
-from dpmech.lp import REL_EQ, REL_GE, REL_LE, LinearProgram
+from dpmech.lp import REL_EQ, REL_GE, REL_LE, CooMatrix, LinearProgram
 
 _FEAS = 1e-9
 
 
+def coo(dense) -> CooMatrix:
+    """The triplets of a dense constraint matrix: one per nonzero."""
+    dense = np.asarray(dense, dtype=np.float64)
+    row, col = np.nonzero(dense)
+    return CooMatrix(row, col, dense[row, col], dense.shape)
+
+
 def enumerate_optimum(lp: LinearProgram) -> float:
     nv = lp.num_vars
-    rows = [(lp.a[k], int(lp.rel[k]), lp.b[k]) for k in range(lp.num_constraints)]
+    a = lp.a.toarray()
+    rows = [(a[k], int(lp.rel[k]), lp.b[k]) for k in range(lp.num_constraints)]
     for k in range(nv):
         e = np.zeros(nv)
         e[k] = 1.0
@@ -69,9 +77,10 @@ def linprog_optimum(lp: LinearProgram) -> float:
     from scipy.optimize import linprog
 
     le, ge, eq = (lp.rel == REL_LE), (lp.rel == REL_GE), (lp.rel == REL_EQ)
-    ref = linprog(lp.c, A_ub=np.vstack([lp.a[le], -lp.a[ge]]),
+    a = lp.a.toarray()
+    ref = linprog(lp.c, A_ub=np.vstack([a[le], -a[ge]]),
                   b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
-                  A_eq=lp.a[eq], b_eq=lp.b[eq],
+                  A_eq=a[eq], b_eq=lp.b[eq],
                   bounds=np.column_stack([lp.lo, lp.hi]), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
@@ -115,7 +124,7 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
             rhs.append(a @ x0 - slack)
     return LinearProgram(
         c=rng.uniform(-1.0, 1.0, size=nv),
-        a=np.array(rows),
+        a=coo(np.array(rows)),
         rel=np.array(rels, dtype=np.int8),
         b=np.array(rhs),
         lo=np.zeros(nv),

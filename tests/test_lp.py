@@ -1,6 +1,7 @@
 """LP construction, the HiGHS solve and its certificate, and mechanism design."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _lp_reference import enumerate_optimum, linprog_optimum, random_lp
+from _lp_reference import coo, enumerate_optimum, linprog_optimum, random_lp
 from conftest import (
     ALPHA_GRID5,
     random_dp_mechanism,
@@ -47,6 +48,7 @@ from dpmech.lp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    CooMatrix,
     LinearProgram,
     certify,
 )
@@ -58,7 +60,7 @@ def _mk(c, rows, rels, rhs, lo=None, hi=None):
     nv = c.size
     return LinearProgram(
         c=c,
-        a=np.asarray(rows, dtype=float).reshape(-1, nv),
+        a=coo(np.asarray(rows, dtype=float).reshape(-1, nv)),
         rel=np.asarray(rels, dtype=np.int8),
         b=np.asarray(rhs, dtype=float),
         lo=np.zeros(nv) if lo is None else np.asarray(lo, dtype=float),
@@ -75,7 +77,7 @@ class TestBuildLp:
         assert np.all(lp.lo == 0.0) and np.all(lp.hi == np.inf)
         # x <= 1 is implied: every variable sits with coefficient 1 in exactly
         # one column-sum row, whose other coefficients are 0 or 1 and rhs is 1
-        sums = lp.a[:2]
+        sums = lp.a.toarray()[:2]
         assert np.all(lp.rel[:2] == REL_EQ) and np.all(lp.b[:2] == 1.0)
         assert np.all((sums == 0.0) | (sums == 1.0))
         assert np.all(sums.sum(axis=0) == 1.0)
@@ -119,16 +121,98 @@ class TestBuildLp:
         assert sum(1 for ln in lines if ln.startswith("row ") and " >= " in ln) == 6
         assert sum(1 for ln in lines if ln.startswith("row ") and " == " in ln) == 2
         # one line per nonzero, and the lines rebuild the LP exactly
+        dense = lp.a.toarray()
         c = np.zeros(lp.num_vars)
-        a = np.zeros_like(lp.a)
+        a = np.zeros_like(dense)
         for ln in lines:
             kind, *fields = ln.split()
             if kind == "c":
                 c[int(fields[0])] = float(fields[1])
             elif kind == "a":
                 a[int(fields[0]), int(fields[1])] = float(fields[2])
-        assert sum(1 for ln in lines if ln.startswith("a ")) == np.count_nonzero(lp.a)
-        assert np.array_equal(c, lp.c) and np.array_equal(a, lp.a)
+        assert sum(1 for ln in lines if ln.startswith("a ")) == np.count_nonzero(dense)
+        assert np.array_equal(c, lp.c) and np.array_equal(a, dense)
+
+    def test_dump_is_pinned(self):
+        # the text that --dump-lp writes; the digest dates from the dense-matrix build
+        lp = build_lp(4, 0.62, frozenset(PROPERTIES), l1_objective(4))
+        buf = io.StringIO()
+        lp.dump(buf)
+        text = buf.getvalue()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "37bd6fc0bc884b521c4834f7f3d72eabc339f819c6f420bf6864741ffe7cf332")
+        cells = [tuple(map(int, ln.split()[1:3])) for ln in text.splitlines()
+                 if ln.startswith("a ")]
+        assert len(cells) == lp.a.nnz and cells == sorted(set(cells))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_triplets_are_unique_and_nonzero(self, n):
+        # with both, the triplets sorted by column are the nonzeros of the dense matrix
+        for size in range(len(PROPERTIES) + 1):
+            for props in combinations(PROPERTIES, size):
+                for objective in (l0_objective, l1_objective):
+                    a = build_lp(n, 0.62, frozenset(props), objective(n)).a
+                    keys = a.row * a.shape[1] + a.col
+                    assert np.unique(keys).size == a.nnz, props
+                    assert np.all(a.data != 0.0), props
+
+    def test_products_match_the_dense_matrix(self, rng):
+        # the triplets sum in another order than a dense product: allow a few ulps
+        for n, props in ((3, PROPERTIES), (6, ("WH", "RM", "CM")), (8, ())):
+            lp = build_lp(n, 0.62, frozenset(props), l1_objective(n))
+            dense = lp.a.toarray()
+            x = rng.uniform(0.0, 1.0, lp.num_vars)
+            y = rng.normal(size=lp.num_constraints)
+            assert np.allclose(lp.a.dot(x), dense @ x, rtol=0.0, atol=1e-13)
+            assert np.allclose(lp.a.rdot(y), dense.T @ y, rtol=0.0, atol=1e-13)
+
+    def test_n128_builds_under_a_3gib_address_space_cap(self):
+        # dpbench's worker runs under this cap; a dense a would take 4.11 GiB
+        out = _run_fresh(
+            "import json, resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from dpmech import build_lp, l0_objective, max_violation, uniform\n"
+            "lp = build_lp(128, 0.9, (), l0_objective(128))\n"
+            "a = lp.a\n"
+            "print(json.dumps([a.shape, a.nnz, a.row.nbytes + a.col.nbytes + a.data.nbytes,\n"
+            "                  max_violation(lp, uniform(128).matrix.ravel())]))\n")
+        shape, nnz, nbytes, violation = json.loads(out.splitlines()[-1])
+        assert shape == [33153, 16641] and nnz == 82_689
+        assert nbytes < 4 << 20
+        assert violation <= 1e-9
+
+
+def _lp_with(row, col, data, shape, num_rows=None, num_vars=None):
+    num_rows, num_vars = shape if num_rows is None else (num_rows, num_vars)
+    return LinearProgram(c=np.ones(num_vars), a=CooMatrix(row, col, data, shape),
+                         rel=np.full(num_rows, REL_GE), b=np.zeros(num_rows),
+                         lo=np.zeros(num_vars), hi=np.full(num_vars, np.inf))
+
+
+class TestLinearProgramInput:
+    def test_well_formed_triplets_are_accepted(self):
+        lp = _lp_with([1, 0], [0, 1], [2.0, -1.0], (2, 2))
+        assert np.array_equal(lp.a.toarray(), [[0.0, -1.0], [2.0, 0.0]])
+
+    def test_triplet_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="one length"):
+            _lp_with([0, 1], [0, 1], [1.0], (2, 2))
+
+    @pytest.mark.parametrize("row, col", [([0, 2], [0, 1]), ([0, 1], [-1, 1])],
+                             ids=["row-past-end", "negative-col"])
+    def test_index_must_be_in_range(self, row, col):
+        with pytest.raises(ValueError, match="out of range"):
+            _lp_with(row, col, [1.0, 1.0], (2, 2))
+
+    def test_pair_must_not_repeat(self):
+        # HiGHS would add the two entries; a dense matrix would keep the last
+        with pytest.raises(ValueError, match="twice"):
+            _lp_with([0, 1, 0], [1, 0, 1], [1.0, 1.0, -1.0], (2, 2))
+
+    @pytest.mark.parametrize("num_rows, num_vars", [(3, 2), (2, 3)], ids=["b", "c"])
+    def test_shape_must_match_b_and_c(self, num_rows, num_vars):
+        with pytest.raises(ValueError, match="shape"):
+            _lp_with([0, 1], [0, 1], [1.0, 1.0], (2, 2), num_rows, num_vars)
 
 
 class TestSharedDefinitions:
@@ -147,7 +231,7 @@ class TestSharedDefinitions:
 
     @staticmethod
     def _rows_hold(lp, first, x):
-        r = lp.a[first:] @ x - lp.b[first:]
+        r = lp.a.toarray()[first:] @ x - lp.b[first:]
         eq = lp.rel[first:] == REL_EQ
         return bool(np.all(np.where(eq, np.abs(r) <= 1e-9, r >= -1e-9)))
 
@@ -185,7 +269,7 @@ class TestSharedDefinitions:
         # the solver's path depends on row order, so the layout must not drift
         lp = build_lp(n, alpha, frozenset(props), objective(n))
         h = hashlib.sha256()
-        for arr in (lp.a, lp.rel, lp.b):
+        for arr in (lp.a.toarray(), lp.rel, lp.b):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
 
