@@ -42,7 +42,7 @@ def _load_weights(spec: str, n: int) -> np.ndarray:
     if spec == "uniform":
         return core.uniform_weights(n)
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(spec, "r", encoding="utf-8-sig") as fh:
             tokens = fh.read().replace(",", " ").split()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{spec}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x} "
@@ -156,13 +156,7 @@ def _cmd_evaluate(args) -> int:
         elif not args.csv or not args.predicate:
             raise ValueError("--data csv requires --csv and --predicate")
         else:
-            try:
-                column, pred = evaluate.parse_predicate(args.predicate)
-            except ValueError:
-                # only a spec with no operator may name a 0/1 column
-                if any(op in args.predicate for op in evaluate._PREDICATE_OPS):
-                    raise
-                column, pred = args.predicate.strip(), None
+            column, pred = evaluate.parse_predicate(args.predicate)
     except (ValueError, DpMechError) as exc:
         return _fail(EXIT_FLAGS, str(exc))
     try:
@@ -206,14 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="group size (>= 1)")
     p.add_argument("--alpha", type=float, default=None, help="privacy level")
     p.add_argument("--props", type=_parse_props, default=frozenset(),
-                   help="comma-separated property list (RH,RM,CH,CM,F,WH,S)")
+                   help="comma-separated property list (RH,RM,CH,CM,F,WH,S); lp only")
     p.add_argument("--objective", choices=("l0", "l1", "l2", "l0d"), default="l0")
     p.add_argument("--d", type=int, default=0, help="tail offset for l0d")
     p.add_argument("--weights", default="uniform",
                    help="'uniform' or a file of n+1 weights")
     p.add_argument("--out", required=True, help="output mechanism CSV path")
     p.add_argument("--mechanism", choices=("lp", "gm", "em", "um"), default="lp")
-    p.add_argument("--dump-lp", default=None, help="write the LP rows to this file")
+    p.add_argument("--dump-lp", default=None, help="write the LP rows to this file; lp only")
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("analyze", help="report the properties of a mechanism file")
@@ -265,6 +259,9 @@ def main(argv=None) -> int:
             core._check_alpha(args.alpha)
         except AlphaOutOfRange as exc:
             return _fail(EXIT_FLAGS, str(exc))
+    if args.command == "design" and args.mechanism != "lp" and (args.props or args.dump_lp):
+        return _fail(EXIT_FLAGS, "--props and --dump-lp apply only to --mechanism lp, "
+                                 f"not {args.mechanism}")
     return args.func(args)
 
 

@@ -9,6 +9,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,27 +42,30 @@ def _check_alpha(alpha: float, *, open_top: bool = False) -> float:
     return alpha
 
 
+def _check_whole(value, least: int, rule: str) -> int:
+    """Return value as an int; raise ValueError(f"{rule}, got {value}") unless
+    it is a whole number >= least, which inf and NaN are not."""
+    if not (least <= value < math.inf and int(value) == value):
+        raise ValueError(f"{rule}, got {value}")
+    return int(value)
+
+
 def _check_n(n: int) -> int:
     """Validate a group size: an integer >= 1."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"group size must be an integer >= 1, got {n}")
-    return int(n)
+    return _check_whole(n, 1, "group size must be an integer >= 1")
 
 
 def _check_d(d, n: int | None = None) -> int:
     """Validate a tail offset: an integer >= 0, and at most n when n is given."""
-    if d < 0 or int(d) != d:
-        raise ValueError(f"d must be a non-negative integer, got {d}")
+    whole = _check_whole(d, 0, "d must be a non-negative integer")
     if n is not None and d > n:
         raise DimensionMismatch(f"tail offset d={d} exceeds group size n={n}")
-    return int(d)
+    return whole
 
 
 def _check_reps(reps) -> int:
     """Validate a repetition count: an integer >= 1."""
-    if reps < 1 or int(reps) != reps:
-        raise ValueError(f"reps must be an integer >= 1, got {reps}")
-    return int(reps)
+    return _check_whole(reps, 1, "reps must be an integer >= 1")
 
 
 def _check_props(props) -> frozenset:
@@ -209,8 +213,7 @@ class Objective:
     d: int = 0
 
     def __post_init__(self):
-        if self.p < 0 or int(self.p) != self.p:
-            raise ValueError(f"p must be a non-negative integer, got {self.p}")
+        _check_whole(self.p, 0, "p must be a non-negative integer")
         _check_d(self.d)
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:

@@ -144,7 +144,8 @@ _MEMO_CELLS = 1 << 16
 
 
 def parse_predicate(spec: str):
-    """Parse '<column><op><value>' into (column, value-predicate).
+    """Parse '<column><op><value>' into (column, value-predicate), or a spec
+    with no operator into (column, None): a column that holds 0/1 bits.
 
     Ordering ops compare numerically; '==' compares numerically when both
     sides parse as numbers, else as strings.
@@ -156,7 +157,9 @@ def parse_predicate(spec: str):
                         or (pos == best[0] and len(op) > len(best[1]))):
             best = (pos, op)
     if best is None:
-        raise ValueError(f"predicate {spec!r} must look like '<column><op><value>'")
+        if not spec.strip() or any(op in spec for op in _PREDICATE_OPS):
+            raise ValueError(f"predicate {spec!r} must look like '<column><op><value>'")
+        return spec.strip(), None
     pos, op = best
     column = spec[:pos].strip()
     raw = spec[pos + len(op):].strip()

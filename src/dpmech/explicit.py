@@ -30,12 +30,7 @@ __all__ = [
 def _powers(alpha: float, count: int) -> np.ndarray:
     # iterated multiplication, not exp(k*log(alpha)): keeps the adjacent-entry
     # ratio checks tight to the last ulp
-    pows = np.empty(count)
-    acc = 1.0
-    for k in range(count):
-        pows[k] = acc
-        acc *= alpha
-    return pows
+    return np.cumprod(np.r_[1.0, np.full(count - 1, alpha)])
 
 
 def geometric(n: int, alpha: float) -> Mechanism:

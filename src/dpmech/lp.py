@@ -65,8 +65,8 @@ STATUS_UNBOUNDED = "unbounded"
 class CooMatrix:
     """A sparse matrix as coordinate triplets: entry k is a[row[k], col[k]] = data[k].
 
-    No (row, col) pair may repeat, so every entry has one meaning; the
-    triplets may come in any order.
+    No (row, col) pair may repeat, so every entry has one meaning.  Given in
+    any order, the triplets are kept sorted by column, then row, as HiGHS takes them.
     """
 
     row: np.ndarray
@@ -86,9 +86,11 @@ class CooMatrix:
                                  (self.col, self.shape[1], "col")):
             if idx.size and not (idx.min() >= 0 and idx.max() < bound):
                 raise ValueError(f"{name} index out of range [0, {bound})")
-        keys = np.sort(self.row * self.shape[1] + self.col)
-        if np.any(keys[1:] == keys[:-1]):
+        keys = self.col * self.shape[0] + self.row
+        order = np.argsort(keys)
+        if np.any(np.diff(keys[order]) == 0):
             raise ValueError("a (row, col) pair appears twice")
+        self.row, self.col, self.data = self.row[order], self.col[order], self.data[order]
 
     @property
     def nnz(self) -> int:
@@ -185,22 +187,20 @@ class LpSolution:
     objective_value: float | None = None
 
 
+def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as lower <= a x <= upper, with an infinite side where a row has none."""
+    return (np.where(lp.rel == REL_LE, -np.inf, lp.b),
+            np.where(lp.rel == REL_GE, np.inf, lp.b))
+
+
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest amount by which x breaks any constraint row or bound."""
-    worst = max(float(np.max(lp.lo - x, initial=0.0)),
-                float(np.max(x - lp.hi, initial=0.0)))
-    if lp.num_constraints:
-        ax = lp.a.dot(x)
-        le = lp.rel == REL_LE
-        ge = lp.rel == REL_GE
-        eq = lp.rel == REL_EQ
-        if le.any():
-            worst = max(worst, float(np.max(ax[le] - lp.b[le])))
-        if ge.any():
-            worst = max(worst, float(np.max(lp.b[ge] - ax[ge])))
-        if eq.any():
-            worst = max(worst, float(np.max(np.abs(ax[eq] - lp.b[eq]))))
-    return worst
+    lower, upper = _row_bounds(lp)
+    ax = lp.a.dot(x)
+    return max(float(np.max(lp.lo - x, initial=0.0)),
+               float(np.max(x - lp.hi, initial=0.0)),
+               float(np.max(lower - ax, initial=0.0)),
+               float(np.max(ax - upper, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +316,8 @@ def certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> None:
     if not violation <= TOL:
         raise NumericalInstability(
             f"LP point breaks a constraint by {violation:.3g} (limit {TOL:g})")
-    y = np.where(lp.rel == REL_GE, np.maximum(y, 0.0),
-                 np.where(lp.rel == REL_LE, np.minimum(y, 0.0), y))
+    lower, upper = _row_bounds(lp)
+    y = np.clip(y, np.where(upper < np.inf, -np.inf, 0.0), np.where(lower > -np.inf, np.inf, 0.0))
     z = lp.c - lp.a.rdot(y)
     open_top = ~np.isfinite(lp.hi)
     hi = np.where(open_top, lp.lo, lp.hi)
@@ -344,17 +344,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     model = h.HighsLp()
     model.num_col_, model.num_row_ = nv, m
     model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lo, lp.hi
-    model.row_lower_ = np.where(lp.rel == REL_LE, -np.inf, lp.b)
-    model.row_upper_ = np.where(lp.rel == REL_GE, np.inf, lp.b)
-    # compressed columns: the triplets of a sorted by column, then by row
+    model.row_lower_, model.row_upper_ = _row_bounds(lp)
+    # CooMatrix keeps its triplets in compressed-column order
     a = lp.a
-    order = np.lexsort((a.row, a.col))
     matrix = model.a_matrix_
     matrix.format_ = h.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = nv, m
-    matrix.start_ = np.searchsorted(a.col[order], np.arange(nv + 1))
-    matrix.index_ = a.row[order]
-    matrix.value_ = a.data[order]
+    matrix.start_ = np.searchsorted(a.col, np.arange(nv + 1))
+    matrix.index_ = a.row
+    matrix.value_ = a.data
 
     highs = h._Highs()
     for name, value in _HIGHS_OPTIONS:

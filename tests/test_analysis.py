@@ -16,6 +16,7 @@ from dpmech import (
     gm_is_column_monotone,
     gm_weak_honesty_threshold,
     l0_objective,
+    new_mechanism,
     property_report,
     select_strategy,
     uniform,
@@ -155,6 +156,12 @@ class TestPropertyReport:
         doc = property_report(uniform(3)).to_json_dict()
         assert set(doc) == set(PROPERTIES) | {"dp_alpha_max", "l0", "l0d.1",
                                               "l0d.2", "l0d.3"}
+
+    def test_dp_alpha_max_is_0_below_the_grid(self):
+        # a zero next to a one in a row fails the privacy check at any alpha > 0
+        mech = new_mechanism(2, np.eye(3))
+        assert dp_alpha_max(mech) == 0.0
+        assert property_report(mech).dp_alpha_max == 0.0
 
     def test_dp_alpha_max_monotone_grid(self, rng):
         # bisection result must agree with a linear scan

@@ -271,6 +271,26 @@ def test_design_without_alpha_exits_2(tmp_path, capsys, mechanism):
     assert not out.exists() and not dump.exists()
 
 
+@pytest.mark.parametrize("mechanism", ["gm", "em", "um"])
+@pytest.mark.parametrize("flags", [["--props", "F"], ["--dump-lp", "lp.txt"]],
+                         ids=["props", "dump-lp"])
+def test_design_lp_flags_exit_2_for_a_closed_form(tmp_path, capsys, monkeypatch,
+                                                   mechanism, flags):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["design", "--mechanism", mechanism, "--n", "4", "--alpha", "0.9",
+                     *flags, "--out", "m.csv"])
+    assert code == cli.EXIT_FLAGS
+    assert (f"--props and --dump-lp apply only to --mechanism lp, not {mechanism}"
+            in _error_only(capsys))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: certify refuses an optimal answer")
+def test_design_n24_alpha_0_3_exits_0(tmp_path, capsys):
+    code = cli.main(["design", "--n", "24", "--alpha", "0.3", "--out", str(tmp_path / "m.csv")])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["select", "--alpha", "0.5"],
     ["design", "--mechanism", "gm", "--alpha", "0.5", "--out", "m.csv"],
@@ -371,6 +391,18 @@ def test_design_bad_weights_file_names_the_file_and_token(tmp_path, capsys, monk
     assert code == cli.EXIT_FLAGS
     assert message in _error_only(capsys)
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_design_weights_file_may_start_with_a_byte_order_mark(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_bytes(b"\xef\xbb\xbf0.25 0.75\n")
+    argv = ["design", "--mechanism", "gm", "--n", "1", "--alpha", "0.5",
+            "--objective", "l1", "--out", "m.csv"]
+    assert cli.main([*argv, "--weights", "w.txt"]) == cli.EXIT_OK
+    value = json.loads(capsys.readouterr().out)["objective_value"]
+    # the geometric mechanism at n=1 answers wrong with probability 1/3 in each column
+    assert value == pytest.approx((0.25 + 0.75) / 3, abs=1e-15)
 
 
 def test_evaluate_tail_offset_with_rmse_exits_2_before_reading(tmp_path, capsys,

@@ -36,6 +36,7 @@ from dpmech import (
     uniform_weights,
     write_mechanism_csv,
 )
+from dpmech.core import _check_d, _check_n, _check_reps
 from dpmech.errors import (
     AlphaOutOfRange,
     ColumnSumError,
@@ -350,6 +351,19 @@ class TestSymmetrize:
                     assert check_property(sym, p), p
 
 
+class TestWholeNumberInputs:
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("check, rule", [
+        (_check_n, "group size must be an integer >= 1"),
+        (_check_d, "d must be a non-negative integer"),
+        (_check_reps, "reps must be an integer >= 1"),
+        (lambda p: Objective(p=p, weights=[0.5, 0.5]), "p must be a non-negative integer"),
+    ], ids=["n", "d", "reps", "p"])
+    def test_non_finite_value_gets_the_named_message(self, check, rule, value):
+        with pytest.raises(ValueError, match=f"^{rule}, got {value}$"):
+            check(value)
+
+
 class TestMechanismCsv:
     def test_round_trip_is_exact(self, rng, tmp_path):
         mech = random_mechanism(rng, 6)
@@ -379,6 +393,19 @@ class TestMechanismCsv:
         path = tmp_path / "bad.csv"
         path.write_text("2,NA\n0.5,0.5,0.5\n0.25,0.25,0.25\nnope,0.25,0.25\n")
         with pytest.raises(ParseError, match="line 4"):
+            read_mechanism_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty mechanism file"),
+        ("1\n1,0\n0,1\n", "line 1 must be 'n,alpha'"),
+        ("1,NA,2\n1,0\n0,1\n", "line 1 must be 'n,alpha'"),
+        ("1.5,NA\n1,0\n0,1\n", "line 1: bad group size '1.5'"),
+        ("1,NA\n1,0\n0\n", "line 3: expected 2 values, found 1"),
+    ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "short-row"])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
             read_mechanism_csv(path)
 
     def test_wrong_row_count(self, tmp_path):

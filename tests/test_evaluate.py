@@ -1,6 +1,7 @@
 """CSV ingestion, predicate parsing and the seeded empirical metrics."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -25,7 +26,7 @@ from dpmech import (
     uniform,
 )
 from dpmech.core import TOL
-from dpmech.errors import ParseError, UnknownColumn
+from dpmech.errors import DimensionMismatch, ParseError, UnknownColumn
 
 
 def _csv(tmp_path, text):
@@ -59,9 +60,13 @@ class TestParsePredicate:
         assert pred("Oslo") and pred(" Oslo ")
         assert not pred("oslo")
 
-    @pytest.mark.parametrize("spec", ["age", "<=30", "age<="])
+    @pytest.mark.parametrize("spec", [" flag ", "flag"])
+    def test_spec_without_an_operator_names_a_bit_column(self, spec):
+        assert parse_predicate(spec) == ("flag", None)
+
+    @pytest.mark.parametrize("spec", ["<=30", "age<=", " "])
     def test_malformed(self, spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must look like|missing a column or value"):
             parse_predicate(spec)
 
     def test_non_numeric_value_is_named(self):
@@ -86,6 +91,10 @@ class TestIngestGroups:
         with pytest.raises(ValueError, match="group size"):
             ingest_groups(tmp_path / "missing.csv", "bit", group_size)
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ParseError, match="empty file"):
+            ingest_groups(_csv(tmp_path, ""), "bit", 1)
+
     def test_unknown_column(self, tmp_path):
         path = _csv(tmp_path, "id,bit\na,1\n")
         with pytest.raises(UnknownColumn):
@@ -107,6 +116,30 @@ class TestInputRules:
     def test_binomial_population_rejects_fractional_group_size(self):
         with pytest.raises(ValueError, match="group size"):
             binomial_population(10, 2.5, 0.5, np.random.default_rng(0))
+
+    def test_binomial_population_needs_a_full_group(self):
+        with pytest.raises(ValueError, match="need total >= n, got total=3, n=4"):
+            binomial_population(3, 4, 0.5, np.random.default_rng(0))
+
+    def test_group_counts_are_a_vector(self):
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            GroupCounts(n=2, counts=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("count", [-1, 3])
+    def test_group_counts_lie_in_0_to_n(self, count):
+        with pytest.raises(ValueError, match=re.escape("counts must lie in [0, 2]")):
+            GroupCounts(n=2, counts=np.array([0, count]))
+
+    def test_eval_config_metric_is_l0d_or_rmse(self):
+        with pytest.raises(ValueError, match="metric must be 'l0d' or 'rmse', got 'mse'"):
+            EvalConfig(metric="mse")
+
+    @pytest.mark.parametrize("metric", [empirical_l0d, empirical_rmse])
+    def test_mechanism_must_fit_the_group_size(self, metric):
+        groups = GroupCounts(n=3, counts=np.array([0, 3]))
+        with pytest.raises(DimensionMismatch, match="mechanism size 2 does not match "
+                                                    "group size 3"):
+            metric(geometric(2, 0.5), groups, EvalConfig(reps=1))
 
     def test_eval_config_rejects_fractional_tail_offset(self):
         with pytest.raises(ValueError, match="d must be a non-negative integer"):

@@ -214,6 +214,29 @@ class TestLinearProgramInput:
         with pytest.raises(ValueError, match="shape"):
             _lp_with([0, 1], [0, 1], [1.0, 1.0], (2, 2), num_rows, num_vars)
 
+    def test_dense_a_is_refused(self):
+        with pytest.raises(TypeError, match="a must be a CooMatrix, got ndarray"):
+            LinearProgram(c=np.ones(2), a=np.eye(2), rel=[REL_GE, REL_GE], b=np.zeros(2),
+                          lo=np.zeros(2), hi=np.ones(2))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rel", [REL_GE], "constraint arrays disagree in length"),
+        ("lo", np.zeros(3), "bound arrays disagree with variable count"),
+        ("hi", np.ones(1), "bound arrays disagree with variable count"),
+        ("lo", [0.0, 2.0], "lower bound exceeds upper bound"),
+    ], ids=["rel", "lo", "hi", "lo-above-hi"])
+    def test_rows_and_bounds_must_fit(self, field, value, message):
+        fields = dict(c=np.ones(2), a=coo(np.eye(2)), rel=[REL_GE, REL_GE], b=np.zeros(2),
+                      lo=np.zeros(2), hi=np.ones(2))
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(**fields)
+
+    def test_triplets_are_kept_in_compressed_column_order(self):
+        a = CooMatrix([0, 1, 1, 0], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0], (2, 2))
+        assert (a.col.tolist(), a.row.tolist(), a.data.tolist()) == (
+            [0, 0, 1, 1], [0, 1, 0, 1], [4.0, 2.0, 1.0, 3.0])
+
 
 class TestSharedDefinitions:
     """check_property and is_dp agree with the LP rows of the same definition."""
@@ -345,6 +368,24 @@ class TestSolveLp:
         assert max_violation(lp, sol.values) <= 1e-9
         assert sol.objective_value == pytest.approx(linprog_optimum(lp), abs=1e-9)
 
+    # ROADMAP item 1: certify refuses these optimal answers, which HiGHS and
+    # linprog agree on; each must pass once the dual side proves them
+    @pytest.mark.xfail(strict=True, raises=NumericalInstability,
+                       reason="certify refuses an optimal answer")
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("props, objective", [
+        ((), l0_objective), ((), l1_objective),
+        (("CH", "S"), l0_objective), (("CH", "S"), l1_objective),
+        (("WH",), l1_objective), (("WH", "CM"), l1_objective),
+        (("WH", "RM", "CM"), l1_objective),
+    ], ids=["none-l0", "none-l1", "CH+S-l0", "CH+S-l1", "WH-l1", "WH+CM-l1",
+            "WH+RM+CM-l1"])
+    def test_refused_designs_match_linprog(self, n, props, objective):
+        obj = objective(n)
+        expected = linprog_optimum(build_lp(n, 0.3, props, obj))
+        m = design_mechanism(n, 0.3, props, obj)
+        assert objective_value(m, obj) == pytest.approx(expected, abs=1e-9)
+
     def test_same_lp_same_answer_bit_for_bit(self):
         first = solve_lp(build_lp(8, 0.62, {"WH", "CM"}, l1_objective(8)))
         again = solve_lp(build_lp(8, 0.62, {"WH", "CM"}, l1_objective(8)))
@@ -366,6 +407,16 @@ class TestCertify:
         lp = _mk([1.0, 1.0], [[1.0, 1.0]], [REL_GE], [2.0])
         with pytest.raises(NumericalInstability, match="dual bound"):
             certify(lp, np.array([2.0, 0.0]), np.array(y))
+
+    @pytest.mark.parametrize("row, rel, rhs, y", [([-1.0], REL_GE, -10.0, -1.0),
+                                                  ([1.0], REL_LE, 10.0, 1.0)],
+                             ids=["ge", "le"])
+    def test_wrong_sign_dual_is_set_to_0(self, row, rel, rhs, y):
+        # min x subject to x >= 1 and x <= 10: taken as it is, y proves a bound
+        # of 10, which would pass the costlier x = 3
+        lp = _mk([1.0], [[1.0], row], [REL_GE, rel], [1.0, rhs])
+        with pytest.raises(NumericalInstability, match="3 above its dual bound"):
+            certify(lp, np.array([3.0]), np.array([0.0, y]))
 
     def test_uniform_mechanism_with_zero_duals_is_refused(self):
         # feasible, but it costs 1 and the geometric mechanism costs less
