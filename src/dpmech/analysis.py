@@ -14,6 +14,7 @@ from .core import (
     _check_alpha,
     _check_n,
     _check_props,
+    _sides,
     _tail_costs,
     check_property,
     is_dp,
@@ -52,9 +53,10 @@ def gm_derivable(mech: Mechanism, alpha: float) -> bool:
     mid = m[:, 1:-1]
     left = m[:, :-2]
     right = m[:, 2:]
-    lhs = mid - alpha * left
-    rhs = alpha * (right - alpha * mid)
-    return bool(np.all(lhs >= rhs - TOL))
+    rhs = right - alpha * mid
+    rhs *= alpha
+    rhs -= TOL
+    return bool(np.all(mid - alpha * left >= rhs))
 
 
 @dataclass(frozen=True)
@@ -115,19 +117,30 @@ class PropertyReport:
 def dp_alpha_max(mech: Mechanism) -> float:
     """Largest alpha on the fixed grid k/1000 for which the privacy check holds.
 
-    The check only loosens as alpha decreases, so bisection on the grid is exact.
+    A pair (lo, hi) of row-adjacent entries, taken both ways round, passes
+    when fl(alpha*hi) - lo <= TOL.  For hi > 0 that difference never
+    decreases as alpha grows, and for hi <= 0 the pair passes at every alpha,
+    since lo >= -TOL.  So the check holds on a prefix of the grid, and one
+    pass over the pairs guesses its end: floor(1000 * min (lo + TOL)/hi over
+    pairs with hi > 0), read as 1000 over the largest hi/(lo + TOL).
+    ``is_dp`` then confirms the guess k: it passes at k and fails at k+1.
+    When rounding puts the guess one step off, the confirmation takes k-1
+    and k, or k, k+1 and k+2: at most 3 calls.  A guess further off, which
+    needs a pair whose hi and lo + TOL are both below about 1e-22, falls back
+    to bisecting the grid that is left.
     """
     steps = DP_ALPHA_GRID_STEPS
-    if not is_dp(mech, 1.0 / steps):
-        return 0.0
-    lo, hi = 1, steps  # grid indices; lo passes
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if is_dp(mech, mid / steps):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo / steps
+    pairs = zip(_sides(mech.matrix, "DP"), _sides(mech.matrix + TOL, "DP"))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = max(np.fmax.reduce(hi / low, None, initial=0.0) for (_, hi, _), (low, _, _) in pairs)
+    probe = steps if inv <= 1.0 else max(int(steps / inv), 1)
+    good, bad, calls = 0, steps + 1, 0  # grid indices known to pass and to fail
+    while bad - good > 1:
+        probe = probe if calls < 3 else (good + bad) // 2  # past 3, the guess was far off
+        passes = is_dp(mech, probe / steps)
+        good, bad, probe = (probe, bad, probe + 1) if passes else (good, probe, probe - 1)
+        calls += 1
+    return good / steps
 
 
 def property_report(mech: Mechanism) -> PropertyReport:

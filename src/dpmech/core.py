@@ -126,33 +126,40 @@ def new_mechanism(n: int, entries) -> Mechanism:
 
 
 def _sides(g: np.ndarray, prop: str):
-    """The two sides of the comparisons that define ``prop`` on a square array.
+    """The comparisons that define ``prop`` on a square array, as views of it.
 
-    ``g`` holds mechanism entries or LP cell indices; the pairs come in
-    ``build_lp``'s row order.  RH, RM, CH and CM hold when lhs >= rhs, F and S
-    when lhs == rhs, and "DP" (row-adjacent entries) when lhs >= alpha*rhs and
-    rhs >= alpha*lhs.  WH bounds the diagonal and has no sides.
+    ``g`` holds mechanism entries or LP cell indices.  Returns a tuple of
+    pieces ``(lhs, rhs, keep)``: ``lhs`` and ``rhs`` are equal-shape strided
+    or broadcast views of ``g``, never copies, and ``keep`` marks which of
+    their pairs are comparisons (None: all of them).  The checks compare the
+    views whole and mask the result.  ``build_lp`` gathers the kept pairs
+    from the views, position by position in row-major order and piece by
+    piece at one position; that is its row order, which keeps the two
+    privacy directions of an adjacent pair next to each other.  Several
+    pieces either keep every pair (DP) or split the positions between them
+    (RM).  RH compares the diagonal with its whole row, and drops the pair
+    on the diagonal.  RH, RM, CH and CM hold when lhs >= rhs, F and S when
+    lhs == rhs, and "DP" (row-adjacent entries, both ways round) when
+    lhs >= alpha*rhs.  WH bounds the diagonal and has no sides.
     """
     if prop == "DP":
-        return g[:, :-1], g[:, 1:]
+        return (g[:, :-1], g[:, 1:], None), (g[:, 1:], g[:, :-1], None)
     if prop in ("CH", "CM"):
         return _sides(g.T, "R" + prop[1])
     diag = np.diagonal(g)
     if prop == "RH":
-        off = ~np.eye(len(g), dtype=bool)
-        return np.broadcast_to(diag[:, None], g.shape)[off], g[off]
+        off = _by_distance(np.arange(len(g)) > 0)
+        return ((np.broadcast_to(diag[:, None], g.shape), g, off),)
     if prop == "RM":
         # entries fall away from the diagonal: left of it the right neighbour
         # of each adjacent pair is the larger one, from it on the left one
-        left, right = g[:, :-1], g[:, 1:]
-        toward = np.arange(len(g) - 1)[None, :] < np.arange(len(g))[:, None]
-        return np.where(toward, right, left), np.where(toward, left, right)
+        toward = np.tri(len(g), len(g) - 1, -1, dtype=bool)  # j < i
+        return (g[:, 1:], g[:, :-1], toward), (g[:, :-1], g[:, 1:], ~toward)
     if prop == "F":
-        return diag[1:], np.broadcast_to(diag[0], len(g) - 1)
+        return ((diag[1:], np.broadcast_to(diag[:1], len(g) - 1), None),)
     if prop == "S":
-        flat = g.ravel()
-        half = flat.size // 2
-        return flat[:half], flat[::-1][:half]
+        half = g.size // 2
+        return ((g.ravel()[:half], g.ravel()[::-1][:half], None),)
     raise ValueError(f"no comparison defines {prop!r}")
 
 
@@ -164,20 +171,23 @@ def is_dp(mech: Mechanism, alpha: float) -> bool:
     fails for any alpha materially above TOL.
     """
     alpha = _check_alpha(alpha)
-    left, right = _sides(mech.matrix, "DP")
-    return bool(np.all(alpha * right - left <= TOL)
-                and np.all(alpha * left - right <= TOL))
+    return all(np.all(alpha * rhs - lhs <= TOL) for lhs, rhs, _ in _sides(mech.matrix, "DP"))
 
 
 def check_property(mech: Mechanism, prop: str) -> bool:
-    """Evaluate one of the seven structural properties with additive slack."""
+    """Evaluate one of the seven structural properties with additive slack.
+
+    Each comparison rhs <= lhs + TOL reads lhs + TOL as the same view of
+    the entries plus TOL.
+    """
     _check_props((prop,))
+    g = mech.matrix
     if prop == "WH":
-        return bool(np.all(np.diagonal(mech.matrix) >= 1.0 / (mech.n + 1) - TOL))
-    lhs, rhs = _sides(mech.matrix, prop)
+        return bool(np.all(np.diagonal(g) >= 1.0 / (mech.n + 1) - TOL))
     if prop in _EQUALITIES:
-        return bool(np.all(np.abs(lhs - rhs) <= TOL))
-    return bool(np.all(rhs <= lhs + TOL))
+        return all(np.all(np.abs(lhs - rhs) <= TOL) for lhs, rhs, _ in _sides(g, prop))
+    return all(np.all(rhs <= lhs if keep is None else (rhs <= lhs) | ~keep)
+               for (_, rhs, keep), (lhs, _, _) in zip(_sides(g, prop), _sides(g + TOL, prop)))
 
 
 def implied_properties(props) -> frozenset:
@@ -242,9 +252,14 @@ def l2_objective(n: int) -> Objective:
     return Objective(p=2, weights=uniform_weights(n))
 
 
-def _distances(n: int) -> np.ndarray:
-    """The |i-j| grid: distance of output i from true count j."""
-    return np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+def _by_distance(values: np.ndarray) -> np.ndarray:
+    """The square grid whose cell [i, j] is values[|i-j|]: a read-only
+    (Toeplitz) view of values mirrored about its first entry, in which row i
+    starts i entries before the mirror's centre and runs forward."""
+    mirrored = np.concatenate([values[:0:-1], values])
+    mirrored.flags.writeable = False
+    size, step = len(values), mirrored.itemsize
+    return np.ndarray((size, size), mirrored.dtype, mirrored, (size - 1) * step, (-step, step))
 
 
 def _check_objective(obj: Objective, n: int) -> None:
@@ -262,7 +277,7 @@ def cell_costs(obj: Objective, n: int) -> np.ndarray:
     defines it, of answering i when the true count is j; a mechanism's loss is
     the sum of these costs times its entries."""
     _check_objective(obj, n)
-    dist = _distances(n)
+    dist = _by_distance(np.arange(n + 1))
     if obj.p == 0:
         return (dist >= max(obj.d, 1)) * (obj.weights * ((n + 1) / n))
     return np.where(dist >= obj.d, dist.astype(np.float64) ** obj.p, 0.0) * obj.weights
@@ -284,8 +299,7 @@ def _tail_costs(mech: Mechanism) -> np.ndarray:
     n = mech.n
     if n == 0:
         raise UndefinedForN0("tail costs are undefined for n=0")
-    bands = np.bincount(_distances(n).ravel(), weights=mech.matrix.ravel(),
-                        minlength=n + 1)
+    bands = np.bincount(_by_distance(np.arange(n + 1)).ravel(), mech.matrix.ravel(), n + 1)
     return np.cumsum(bands[::-1])[::-1] / n
 
 
@@ -346,7 +360,7 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
     if len(head) != 2:
         raise ParseError(f"{path}: line 1 must be 'n,alpha', got {lines[0]!r}")
     try:
-        n = int(head[0])
+        n = _check_whole(int(head[0]), 0, "group size must be an integer >= 0")
     except ValueError:
         raise ParseError(f"{path}: line 1: bad group size {head[0]!r}") from None
     alpha: float | None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Mechanism, _check_alpha, _check_n, _distances, new_mechanism
+from .core import Mechanism, _by_distance, _check_alpha, _check_n, new_mechanism
 
 __all__ = [
     "geometric",
@@ -37,14 +37,9 @@ def geometric(n: int, alpha: float) -> Mechanism:
     """Truncated geometric mechanism of size n; requires 0 < alpha < 1."""
     n = _check_n(n)
     alpha = _check_alpha(alpha, open_top=True)
-    x = 1.0 / (1.0 + alpha)
-    y = (1.0 - alpha) / (1.0 + alpha)
-    pows = _powers(alpha, n + 1)
-    dist = _distances(n)
-    scale = np.full(n + 1, y)
-    scale[0] = x
-    scale[n] = x
-    return new_mechanism(n, scale[:, None] * pows[dist])
+    scale = np.full(n + 1, (1.0 - alpha) / (1.0 + alpha))  # y on interior rows
+    scale[[0, n]] = 1.0 / (1.0 + alpha)  # x on the two extreme rows
+    return new_mechanism(n, scale[:, None] * _by_distance(_powers(alpha, n + 1)))
 
 
 def fair_diagonal(n: int, alpha: float) -> float:
@@ -59,15 +54,20 @@ def fair_diagonal(n: int, alpha: float) -> float:
 
 
 def explicit_fair(n: int, alpha: float) -> Mechanism:
-    """Fair mechanism with the maximal constant diagonal; requires 0 < alpha < 1."""
+    """Fair mechanism with the maximal constant diagonal; requires 0 < alpha < 1.
+
+    Cell (i, j) is y * alpha**e with e = min(|i-j|, (|i-j| + edge + 1) // 2)
+    and edge = min(j, n-j): the distance itself below the column's edge, and
+    the halved form from there on.
+    """
     n = _check_n(n)
     alpha = _check_alpha(alpha, open_top=True)
     y = fair_diagonal(n, alpha)
     pows = _powers(alpha, n + 1)
     idx = np.arange(n + 1)
-    dist = _distances(n)
+    dist = _by_distance(idx)
     edge = np.minimum(idx, n - idx)[None, :]
-    exponent = np.where(dist < edge, dist, (dist + edge + 1) // 2)
+    exponent = np.minimum(dist, (dist + edge + 1) // 2)
     return new_mechanism(n, y * pows[exponent])
 
 

@@ -216,19 +216,22 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     c = cell_costs(obj, n).ravel()
     props = _check_props(props)
 
-    # each block is the rows x[p] - k*x[q] {rel} rhs, one per (p, q) pair;
-    # the two privacy directions of an adjacent pair stay next to each other
+    # each block is the rows x[p] - k*x[q] {rel} rhs, one per kept pair of _sides
     cells = np.arange(nv).reshape(size, size)
-    left, right = _sides(cells, "DP")
-    blocks = [(np.stack([left, right], -1), np.stack([right, left], -1), alpha, REL_GE, 0.0)]
-    for prop in PROPERTIES:
-        if prop not in props:
-            continue
-        if prop == "WH":
+    blocks = []
+    for prop in ("DP", *PROPERTIES):
+        if prop == "WH" and prop in props:
             blocks.append((np.diagonal(cells), None, 0.0, REL_GE, 1.0 / size))
-        else:
-            p, q = _sides(cells, prop)
-            blocks.append((p, q, 1.0, REL_EQ if prop in _EQUALITIES else REL_GE, 0.0))
+        elif prop == "DP" or prop in props:
+            lhs, rhs, keeps = zip(*_sides(cells, prop))
+            if keeps[0] is None:
+                p, q = np.stack(lhs, -1), np.stack(rhs, -1)
+            elif len(keeps) == 1:
+                p, q = lhs[0][keeps[0]], rhs[0][keeps[0]]
+            else:
+                p, q = np.where(keeps[0], *lhs), np.where(keeps[0], *rhs)
+            blocks.append((p, q, alpha if prop == "DP" else 1.0,
+                           REL_EQ if prop in _EQUALITIES else REL_GE, 0.0))
 
     counts = [size] + [p.size for p, *_ in blocks]
     rel = np.repeat([REL_EQ] + [blk[3] for blk in blocks], counts)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _analysis_reference as reference
 from conftest import ALPHA_GRID7
 from dpmech import (
     PROPERTIES,
@@ -15,13 +18,16 @@ from dpmech import (
     gm_derivable,
     gm_is_column_monotone,
     gm_weak_honesty_threshold,
+    is_dp,
     l0_objective,
     new_mechanism,
     property_report,
     select_strategy,
     uniform,
 )
+from dpmech import analysis
 from dpmech.analysis import SOLVE_LP_WH, SOLVE_LP_WH_CM, USE_EM, USE_GM
+from dpmech.core import TOL, Mechanism
 from dpmech.errors import AlphaOutOfRange
 
 
@@ -164,7 +170,7 @@ class TestPropertyReport:
         assert property_report(mech).dp_alpha_max == 0.0
 
     def test_dp_alpha_max_monotone_grid(self, rng):
-        # bisection result must agree with a linear scan
+        # the result passes and the next grid point fails
         from dpmech import is_dp
         from conftest import random_dp_mechanism
 
@@ -174,3 +180,114 @@ class TestPropertyReport:
         step_up = min(reported + 0.001, 1.0)
         if step_up > reported:
             assert not is_dp(mech, step_up)
+
+
+@st.composite
+def _mechanisms(draw, max_n=12):
+    """Valid mechanisms at the comparisons' edges.
+
+    A near-uniform, random or sparse base gets up to four edits: an exact
+    zero, an entry down to -TOL, or a row-adjacent pair whose ratio
+    (lo + TOL)/hi sits on a grid point k/1000 or an ulp either side.  The
+    rest of the edited column absorbs the change, so it still sums to 1.
+    """
+    n = draw(st.integers(1, max_n))
+    size = n + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from(("flat", "random", "sparse")))
+    if base == "flat":
+        m = 1.0 + rng.uniform(-0.01, 0.01, (size, size))
+    elif base == "random":
+        m = rng.uniform(0.05, 1.0, (size, size))
+    else:
+        m = rng.uniform(0.0, 1.0, (size, size)) * (rng.random((size, size)) < 0.5) + np.eye(size)
+    m /= m.sum(axis=0)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
+        kind = draw(st.sampled_from(("zero", "negative", "grid")))
+        if kind == "zero":
+            value = 0.0
+        elif kind == "negative":
+            value = -TOL * draw(st.sampled_from((1.0, 0.5, 1e-3)))
+        else:
+            hi = m[i, j + 1 if j < n else j - 1]
+            value = draw(st.integers(1, 999)) / 1000 * hi - TOL
+            for _ in range(draw(st.integers(0, 1))):
+                value = np.nextafter(value, draw(st.sampled_from((-np.inf, np.inf))))
+        column = m[:, j] - (value - m[i, j]) / n
+        column[i] = value
+        if column.min() >= -TOL and column.max() <= 1.0:
+            m[:, j] = column
+    return Mechanism(m)
+
+
+def _bits(report) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_json_dict().items()}
+
+
+def _scan(mech) -> float:
+    """The largest passing grid point, by checking all 1,000 of them."""
+    return max((k for k in range(1, 1001) if is_dp(mech, k / 1000)), default=0) / 1000
+
+
+# a pair (lo, hi) = (-TOL, 1e-26) passes at every alpha, though its ratio
+# (lo + TOL)/hi rounds to 0: the one-pass guess is 1 and the answer 0.999
+_SUB_ULP_PAIR = Mechanism([[-TOL, 1e-26], [1.0 + TOL, 1.0]])
+
+
+class TestReportMatchesReference:
+    """property_report is bit for bit the gather-and-bisect reference's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mech=_mechanisms())
+    @example(mech=new_mechanism(2, np.eye(3)))
+    @example(mech=_SUB_ULP_PAIR)
+    def test_random_mechanisms(self, mech):
+        assert _bits(property_report(mech)) == _bits(reference.property_report(mech))
+        for a in (0.3, 0.62, 0.9, 1.0):
+            assert gm_derivable(mech, a) == reference.gm_derivable(mech, a)
+
+    @pytest.mark.parametrize("make", [geometric, explicit_fair])
+    def test_n400(self, make):
+        mech = make(400, 0.9)
+        assert _bits(property_report(mech)) == _bits(reference.property_report(mech))
+
+
+class TestDpAlphaMax:
+    @settings(max_examples=60, deadline=None)
+    @given(mech=_mechanisms(max_n=3))
+    @example(mech=_SUB_ULP_PAIR)
+    def test_matches_a_linear_scan(self, mech):
+        assert dp_alpha_max(mech) == _scan(mech)
+
+    def test_sub_ulp_pair_falls_back_to_bisection(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "is_dp", lambda m, a: calls.append(a) or is_dp(m, a))
+        assert dp_alpha_max(_SUB_ULP_PAIR) == _scan(_SUB_ULP_PAIR) == 0.999
+        # three steps up from the guess, then at most ten halvings of the grid
+        assert calls[:3] == [0.001, 0.002, 0.003] and len(calls) <= 13
+
+    @staticmethod
+    def _tiny_negative_pair():
+        # row 0 of a geometric mechanism shrunk to +-1e-12, its mass moved to
+        # row 1: the pairs of row 0 pass at every alpha and rows 1-3 bind
+        m = geometric(3, 0.62).matrix.copy()
+        shift = m[0] - np.array([-1e-12, -1e-12, 1e-12, 1e-12])
+        m[0] -= shift
+        m[1] += shift
+        return Mechanism(m)
+
+    @pytest.mark.parametrize("make, answer", [
+        (lambda: uniform(4), 1.0),
+        (lambda: new_mechanism(3, np.eye(4)), 0.0),
+        (lambda: geometric(50, 0.9), 0.9),
+        (lambda: geometric(400, 0.9), 0.9),
+        (_tiny_negative_pair, 0.62),
+    ], ids=["uniform", "eye", "gm-n50", "gm-n400", "tiny-negative-pair"])
+    def test_at_most_three_privacy_checks(self, monkeypatch, make, answer):
+        mech = make()
+        calls = []
+        monkeypatch.setattr(analysis, "is_dp", lambda m, a: calls.append(a) or is_dp(m, a))
+        found = dp_alpha_max(mech)
+        assert len(calls) <= 3, calls
+        assert found == reference.dp_alpha_max(mech) == answer

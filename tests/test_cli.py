@@ -145,6 +145,16 @@ def test_analyze_bad_mechanism_exits_2(tmp_path, capsys, text):
     _error_only(capsys)
 
 
+@pytest.mark.parametrize("header", ["-1,NA", "-3,0.5"])
+def test_analyze_negative_group_size_names_the_file(tmp_path, capsys, header):
+    path = tmp_path / "m.csv"
+    path.write_text(header + "\n")
+    code = cli.main(["analyze", "--in", str(path)])
+    assert code == cli.EXIT_FLAGS
+    bad = header.split(",")[0]
+    assert _error_only(capsys) == f"dpmech: error: {path}: line 1: bad group size '{bad}'\n"
+
+
 def test_design_nan_weights_exits_2(tmp_path, capsys):
     weights = tmp_path / "w.txt"
     weights.write_text("nan nan nan nan\n")

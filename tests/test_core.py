@@ -36,7 +36,7 @@ from dpmech import (
     uniform_weights,
     write_mechanism_csv,
 )
-from dpmech.core import _check_d, _check_n, _check_reps
+from dpmech.core import _check_d, _check_n, _check_reps, _sides
 from dpmech.errors import (
     AlphaOutOfRange,
     ColumnSumError,
@@ -364,6 +364,20 @@ class TestWholeNumberInputs:
             check(value)
 
 
+class TestSides:
+    @pytest.mark.parametrize("prop", ["DP", "RH", "RM", "CH", "CM", "F", "S"])
+    def test_sides_are_views_of_the_array(self, prop):
+        g = np.arange(25.0).reshape(5, 5)
+        for lhs, rhs, keep in _sides(g, prop):
+            assert np.shares_memory(lhs, g) and np.shares_memory(rhs, g)
+            assert lhs.shape == rhs.shape
+            assert keep is None or keep.shape == lhs.shape
+
+    def test_no_comparison_defines_weak_honesty(self):
+        with pytest.raises(ValueError, match="no comparison defines 'WH'"):
+            _sides(np.eye(3), "WH")
+
+
 class TestMechanismCsv:
     def test_round_trip_is_exact(self, rng, tmp_path):
         mech = random_mechanism(rng, 6)
@@ -400,8 +414,11 @@ class TestMechanismCsv:
         ("1\n1,0\n0,1\n", "line 1 must be 'n,alpha'"),
         ("1,NA,2\n1,0\n0,1\n", "line 1 must be 'n,alpha'"),
         ("1.5,NA\n1,0\n0,1\n", "line 1: bad group size '1.5'"),
+        ("-1,NA\n", "line 1: bad group size '-1'"),
+        ("-2,0.5\n1,0\n0,1\n", "line 1: bad group size '-2'"),
         ("1,NA\n1,0\n0\n", "line 3: expected 2 values, found 1"),
-    ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "short-row"])
+    ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "negative-n",
+            "negative-n-with-rows", "short-row"])
     def test_malformed_file_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)

@@ -21,6 +21,17 @@ from dpmech.errors import AlphaOutOfRange
 
 
 class TestGeometric:
+    def test_toeplitz_grid_matches_the_gather(self):
+        # the alpha**|i-j| grid as a sliding-window view of the powers equals
+        # the powers gathered at the |i-j| grid, bit for bit
+        for n in range(1, 401):
+            dist = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+            for a in ALPHA_GRID7:
+                scale = np.full(n + 1, (1 - a) / (1 + a))
+                scale[[0, n]] = 1 / (1 + a)
+                gathered = scale[:, None] * np.cumprod(np.r_[1.0, np.full(n, a)])[dist]
+                assert geometric(n, a).matrix.tobytes() == gathered.tobytes(), (n, a)
+
     def test_n2_alpha_09_entries(self):
         # x = 10/19 on the corner diagonal, y = 1/19 inside, off-by-one 9/19
         m = geometric(2, 9 / 10).matrix
@@ -80,6 +91,19 @@ class TestGeometric:
 
 
 class TestExplicitFair:
+    def test_exponent_minimum_matches_the_branch(self):
+        # min(|i-j|, (|i-j| + edge + 1) // 2) is |i-j| below the edge and the
+        # halved form from it on, so the matrices are bit for bit the same
+        for n in (1, 2, 3, 7, 8, 100, 401):
+            idx = np.arange(n + 1)
+            dist = np.abs(np.subtract.outer(idx, idx))
+            edge = np.minimum(idx, n - idx)[None, :]
+            exponent = np.where(dist < edge, dist, (dist + edge + 1) // 2)
+            for a in ALPHA_GRID7:
+                pows = np.cumprod(np.r_[1.0, np.full(n, a)])
+                expected = fair_diagonal(n, a) * pows[exponent]
+                assert explicit_fair(n, a).matrix.tobytes() == expected.tobytes(), (n, a)
+
     def test_n7_exponent_pattern(self):
         a = 0.62
         m = explicit_fair(7, a).matrix
