@@ -351,18 +351,19 @@ def write_mechanism_csv(mech: Mechanism, path, alpha: float | None = None) -> No
 def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not valid UTF-8") from None
     if not lines:
         raise ParseError(f"{path}: empty mechanism file")
-    head = lines[0].split(",")
+    first, text = lines[0]
+    head = text.split(",")
     if len(head) != 2:
-        raise ParseError(f"{path}: line 1 must be 'n,alpha', got {lines[0]!r}")
+        raise ParseError(f"{path}: line {first} must be 'n,alpha', got {text!r}")
     try:
         n = _check_whole(int(head[0]), 0, "group size must be an integer >= 0")
     except ValueError:
-        raise ParseError(f"{path}: line 1: bad group size {head[0]!r}") from None
+        raise ParseError(f"{path}: line {first}: bad group size {head[0]!r}") from None
     alpha: float | None
     if head[1] == "NA":
         alpha = None
@@ -370,12 +371,12 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
         try:
             alpha = _check_alpha(float(head[1]))
         except (ValueError, AlphaOutOfRange):
-            raise ParseError(f"{path}: line 1: bad alpha {head[1]!r}; "
+            raise ParseError(f"{path}: line {first}: bad alpha {head[1]!r}; "
                              "expected NA or a value in (0, 1]") from None
     if len(lines) != n + 2:
         raise ParseError(f"{path}: expected {n + 1} matrix rows, found {len(lines) - 1}")
     rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != n + 1:
             raise ParseError(f"{path}: line {k}: expected {n + 1} values, found {len(parts)}")

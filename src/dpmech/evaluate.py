@@ -21,15 +21,19 @@ population are the same objects, not merely equal ones; any other call draws
 again and replaces the remembered one.  The memo holds reps x (2n+1) counts
 and only weak references to its inputs, so it keeps no caller's object alive.
 
-CSV ingest (`ingest_groups`) evaluates each distinct non-blank cell text
-once and reuses its bit on every later row holding the same text, up to
-65,536 distinct cells.  So a predicate must be a pure function of the
-cell's text.
+CSV ingest (`ingest_groups`) scans 256 KiB blocks of whole lines with numpy
+while every line is plain (valid UTF-8, no quote, NUL or lone CR, shorter
+than the csv field size limit) with a non-blank target cell of at most 8
+bytes that passes its check; a csv.reader row loop reads the rest of the
+file from the first block the scan declines.  Each distinct non-blank cell
+text is evaluated once, up to 65,536 cells, so a predicate must be a pure
+function of the cell's text.  Memory is one block plus one byte per row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -139,8 +143,14 @@ def binomial_population(total: int, n: int, p: float,
 
 _PREDICATE_OPS = ("<=", ">=", "==", "<", ">")
 #: distinct cells whose bit ingest_groups remembers; past this, new cells are
-#: evaluated on every row, which bounds the memo's memory on unique-valued columns
+#: evaluated in every block or row, which bounds the memo on unique-valued columns
 _MEMO_CELLS = 1 << 16
+#: bytes ingest_groups reads at a time
+_BLOCK = 1 << 18
+#: longest target cell, in bytes, the block scan keys as one uint64; _MASKS[k]
+#: keeps a key's low k bytes
+_KEY = 8
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(_KEY + 1)], np.uint64)
 
 
 def parse_predicate(spec: str):
@@ -197,6 +207,56 @@ def parse_predicate(spec: str):
     return column, pred
 
 
+def _plain(buf: bytes) -> bool:
+    """Whether csv.reader splits buf at ',' and line ends alone: buf is valid
+    UTF-8 and holds no quote, NUL or lone '\\r'."""
+    try:
+        buf.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return not (b'"' in buf or b"\0" in buf) and (
+        b"\r" not in buf or buf.count(b"\r") == buf.count(b"\r\n"))
+
+
+def _block_cells(buf: bytes, col: int):
+    """(cells, inverse) for a block of whole lines: the distinct texts of
+    column col's cells, and each line's index into them.  None declines the
+    block: it is not `_plain`, a line is not shorter than the csv field size
+    limit, or a line's target cell is missing or longer than _KEY bytes.  An
+    empty line gives a blank cell, which the caller declines."""
+    if not (buf and _plain(buf)):
+        return None
+    a = np.frombuffer(buf + bytes(_KEY), np.uint8)
+    # field j of the block ends at sep[j]; line i ends at sep[ends[i]]
+    sep = np.flatnonzero((a == 44) | (a == 10))
+    ends = np.flatnonzero(a[sep] == 10)
+    if np.diff(sep[ends], prepend=-1).max() > csv.field_size_limit():
+        return None
+    target = np.r_[0, ends[:-1] + 1] + col
+    if (target > ends).any():
+        return None
+    start = np.r_[-1, sep][target] + 1
+    end = sep[target]
+    end -= a[end - 1] == 13  # a '\r' only ever precedes a line's '\n'
+    size = end - start
+    if (size > _KEY).any():
+        return None
+    # no cell holds a NUL, so its bytes, little-endian and zero-filled, key it
+    window = np.ndarray((a.size - _KEY + 1,), "<u8", a, 0, (1,))
+    keys, inverse = np.unique(window[start] & _MASKS[size], return_inverse=True)
+    return [c.decode() for c in keys.astype("<u8").view("S8").tolist()], inverse
+
+
+def _column_of(header, csv_path, column: str) -> int:
+    """Index of column in the header row (None when the file is empty)."""
+    if header is None:
+        raise ParseError(f"{csv_path}: empty file")
+    names = [h.strip() for h in header]
+    if column not in names:
+        raise UnknownColumn(f"{csv_path}: no column {column!r} in header {names}")
+    return names.index(column)
+
+
 def ingest_groups(csv_path, column: str, group_size: int,
                   predicate=None) -> GroupCounts:
     """Read per-row bits from a headed CSV and sum consecutive rows into groups.
@@ -208,35 +268,75 @@ def ingest_groups(csv_path, column: str, group_size: int,
     mark.  Errors raise ParseError naming the record's line number (the
     header is line 1), or that the file is not valid UTF-8.
 
+    numpy scans the file in 256 KiB blocks of whole lines while every line
+    is plain (valid UTF-8, no quote, NUL or lone '\\r', shorter than the csv
+    field size limit) and has a non-blank target cell of at most 8 bytes
+    that passes its check.  From the first block the scan declines, the
+    csv.reader row loop reads the rest with the bits, memo and line count so
+    far, and raises any error.  Memory is one block plus one byte per row.
+
     The predicate must be a pure function of the cell's text: it is called
     once per distinct non-blank cell, and every later row holding the same
     text reuses that bit.  Only the first 65,536 distinct cells are
-    remembered: a cell first seen after them is evaluated on every row that
-    holds it, and so is a blank target cell in a non-blank row.
+    remembered: a cell first seen after them is evaluated again in every
+    block or row that holds it, and so is a blank target cell in a
+    non-blank row.
     """
     group_size = _check_n(group_size)
-    with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    what = "expected a 0/1 bit, got" if predicate is None else "cannot evaluate predicate on"
+    bit_of: dict = {}
+    lookup = bit_of.get
+    bits = bytearray()
+    append = bits.append
+    skipped = 0
+    col = None
+
+    def learn(cell: str):
+        # cell's bit, or None when it fails the 0/1 check or the predicate;
+        # remembered while the memo has room, but a blank cell never is, so a
+        # whitespace-only row still reaches the blank-row check
+        if predicate is None:
+            value = cell.strip()
+            bit = int(value) if value in ("0", "1") else None
+        else:
+            try:
+                bit = 1 if predicate(cell) else 0
+            except ValueError:
+                bit = None
+        if bit is not None and len(bit_of) < _MEMO_CELLS and cell.strip():
+            bit_of[cell] = bit
+        return bit
+
+    with open(csv_path, "rb") as fh:
+        # the block scan seeks to each block's start, so a pipe goes to the row loop
+        head = fh.readline(_BLOCK) if fh.seekable() else b""
+        offset = 0
+        if head.endswith(b"\n") and len(head) < csv.field_size_limit() and _plain(head):
+            col = _column_of(next(csv.reader([head.decode("utf-8-sig")])), csv_path, column)
+            offset = len(head)
+        while col is not None:
+            fh.seek(offset)
+            buf = fh.read(_BLOCK)
+            buf = buf[:buf.rfind(b"\n") + 1]
+            found = _block_cells(buf, col)
+            if found is None:
+                break
+            cells, inverse = found
+            # a blank cell, or one that fails its check, goes to the row loop
+            known = [bit_of[c] if c in bit_of else learn(c) if c.strip() else None
+                     for c in cells]
+            if None in known:
+                break
+            bits += memoryview(np.array(known, np.uint8)[inverse])
+            offset += len(buf)
+        if fh.seekable():
+            fh.seek(offset)
+        reader = csv.reader(io.TextIOWrapper(fh, "utf-8" if offset else "utf-8-sig", newline=""))
         try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ParseError(f"{csv_path}: line 1: {exc}") from None
-        except UnicodeDecodeError:
-            raise ParseError(f"{csv_path}: not valid UTF-8") from None
-        if header is None:
-            raise ParseError(f"{csv_path}: empty file")
-        names = [h.strip() for h in header]
-        if column not in names:
-            raise UnknownColumn(f"{csv_path}: no column {column!r} in header {names}")
-        col = names.index(column)
-        bit_of: dict = {}
-        lookup = bit_of.get
-        bits = bytearray()
-        append = bits.append
-        skipped = 0
-        # every row so far appended a bit or was skipped, so the row at hand
-        # sits on line len(bits) + skipped + 2
-        try:
+            if col is None:
+                col = _column_of(next(reader, None), csv_path, column)
+            # every row so far appended a bit or was skipped, so the row at
+            # hand sits on line len(bits) + skipped + 2
             for row in reader:
                 try:
                     bit = lookup(row[col])
@@ -250,27 +350,13 @@ def ingest_groups(csv_path, column: str, group_size: int,
                         continue
                     if col >= len(row):
                         raise ParseError(f"{csv_path}: line {line_no}: too few fields")
-                    cell = row[col]
-                    if predicate is None:
-                        value = cell.strip()
-                        if value not in ("0", "1"):
-                            raise ParseError(f"{csv_path}: line {line_no}: "
-                                             f"expected a 0/1 bit, got {cell!r}")
-                        bit = int(value)
-                    else:
-                        try:
-                            bit = 1 if predicate(cell) else 0
-                        except ValueError:
-                            raise ParseError(
-                                f"{csv_path}: line {line_no}: cannot evaluate predicate "
-                                f"on {cell!r}") from None
-                    # a blank cell is never remembered, so its row keeps the
-                    # blank-row check
-                    if len(bit_of) < _MEMO_CELLS and cell.strip():
-                        bit_of[cell] = bit
+                    bit = learn(row[col])
+                    if bit is None:
+                        raise ParseError(f"{csv_path}: line {line_no}: {what} {row[col]!r}")
                 append(bit)
         except csv.Error as exc:
-            raise ParseError(f"{csv_path}: line {len(bits) + skipped + 2}: {exc}") from None
+            line_no = 1 if col is None else len(bits) + skipped + 2
+            raise ParseError(f"{csv_path}: line {line_no}: {exc}") from None
         except UnicodeDecodeError:
             raise ParseError(f"{csv_path}: not valid UTF-8") from None
     groups = len(bits) // group_size

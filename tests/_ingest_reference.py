@@ -1,9 +1,12 @@
-"""The per-row CSV ingest loop that `evaluate.ingest_groups` replaced.
+"""The per-row CSV ingest loop: the oracle for both paths of
+`evaluate.ingest_groups`.
 
 It checks and evaluates every row on its own: blank row, too few fields,
-then the 0/1 bit or the predicate.  `ingest_groups` evaluates each distinct
-non-blank cell once, and the equivalence tests hold it to this loop's counts,
-skips, exceptions and messages.
+then the 0/1 bit or the predicate.  `ingest_groups` reads blocks of plain
+lines with a numpy block scan and the rest of the file, from the first block
+the scan declines, with its csv.reader row loop; both evaluate each distinct
+non-blank cell once.  The equivalence tests hold both paths, and the hand-offs
+between them, to this loop's counts, skips, exceptions and messages.
 """
 
 from __future__ import annotations

@@ -417,8 +417,9 @@ class TestMechanismCsv:
         ("-1,NA\n", "line 1: bad group size '-1'"),
         ("-2,0.5\n1,0\n0,1\n", "line 1: bad group size '-2'"),
         ("1,NA\n1,0\n0\n", "line 3: expected 2 values, found 1"),
+        ("1,0.5\n\n0.5,0.5\n0.5,x\n", "line 4: non-numeric entry"),
     ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "negative-n",
-            "negative-n-with-rows", "short-row"])
+            "negative-n-with-rows", "short-row", "after-blank-line"])
     def test_malformed_file_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)

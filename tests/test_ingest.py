@@ -1,7 +1,10 @@
-"""CSV ingest: equivalence with the per-row reference loop, the one-call-per-
-distinct-cell contract, line numbers, byte-order marks and csv errors."""
+"""CSV ingest: equivalence with the per-row reference loop across block-scan
+hand-offs, the one-call-per-distinct-cell contract, line numbers, byte-order
+marks, pipes and csv errors."""
 
+import os
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -9,12 +12,20 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import _ingest_reference
-from dpmech import ingest_groups, parse_predicate
+from dpmech import evaluate, ingest_groups, parse_predicate
 from dpmech.errors import ParseError
 
+NEWLINES = ("\n", "\r\n", "\r")
 PREDICATES = (None, "val<30", "val>=65", "val==1e1", "val==Oslo")
+# "2024-01-01" and "123456789" are longer than the block scan's 8-byte key;
+# "\u00a0" is blank to str.strip but not ASCII whitespace; csv passes a NUL through
 CELLS = ("", " ", "0", "1", " 1 ", "1 ", "2", "29", "30", " 64", "65", "70.5", "1e1",
-         "10", "abc", "Oslo", " Oslo ", "a,b", 'say "hi"', "x\ny")
+         "10", "abc", "Oslo", " Oslo ", "a,b", 'say "hi"', "x\ny", "2024-01-01",
+         "123456789", "\u00a0", "1\x00")
+# cells that need no quotes: the block scan takes most of them under some
+# predicate; "12345678" fills its 8-byte key, and it declines the last two
+PLAIN = ("0", "1", " 1", "1 ", "29", "65", "1e1", "12345678", "\u00d8slo", "123456789",
+         "1\x00")
 
 
 def _outcome(ingest, path, column, group_size, predicate):
@@ -39,25 +50,59 @@ _row = st.one_of(
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.tuples(_row, st.booleans()), max_size=30),
-       newline=st.sampled_from(("\n", "\r\n")),
+@given(lead=st.lists(st.lists(st.sampled_from(PLAIN), min_size=2, max_size=3), max_size=10),
+       rows=st.lists(st.tuples(_row, st.booleans(), st.sampled_from(NEWLINES)),
+                     max_size=30),
+       newline=st.sampled_from(NEWLINES),
        spec=st.sampled_from(PREDICATES),
-       group_size=st.integers(1, 3))
+       group_size=st.integers(1, 3),
+       block=st.integers(8, 64))
 # a blank target cell in a non-blank row, then a whitespace-only row holding
 # the same blank text: the second row is skipped, not given the first's bit
-@example(rows=[(["a", " "], False), ([" ", " "], False)], newline="\n",
-         spec="val==Oslo", group_size=1)
-def test_matches_the_per_row_reference(tmp_path, rows, newline, spec, group_size):
-    lines = ["id,val,extra"] + [",".join(_render(c, quote) for c in row)
-                                for row, quote in rows]
+@example(lead=[], rows=[(["a", " "], False, "\n"), ([" ", " "], False, "\n")], newline="\n",
+         spec="val==Oslo", group_size=1, block=evaluate._BLOCK)
+# the '\r' of a '\r\n' is not part of a line's last cell
+@example(lead=[["x", "29"]], rows=[], newline="\r\n", spec="val<30", group_size=1, block=64)
+# a lone '\r' ends a record, so the block that holds it goes to the row loop
+@example(lead=[["x", "29"]], rows=[(["x", "65"], False, "\r"), (["x", "1"], False, "\n")],
+         newline="\n", spec="val==Oslo", group_size=1, block=64)
+# a cell longer than the 8-byte key, and one whose NUL would key it like "1",
+# go to the row loop
+@example(lead=[["x", "123456789"]], rows=[], newline="\n", spec="val>=65", group_size=1,
+         block=64)
+@example(lead=[["x", "1\x00"]], rows=[], newline="\n", spec=None, group_size=1, block=64)
+def test_matches_the_per_row_reference(tmp_path, monkeypatch, lead, rows, newline, spec,
+                                       group_size, block):
+    # the lead rows are plain, so the block scan takes some blocks before it
+    # hands off; blocks of a few dozen bytes put block ends and hand-offs to
+    # the row loop inside the examples.  The header and lead rows end with
+    # newline, each later row with its own.
+    monkeypatch.setattr(evaluate, "_BLOCK", block)
+    text = "".join(line + newline for line in ["id,val,extra"] + [",".join(r) for r in lead])
+    text += "".join(",".join(_render(c, quote) for c in row) + end for row, quote, end in rows)
     path = tmp_path / "data.csv"
-    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-    predicate = parse_predicate(spec)[1] if spec else None
-    assert (_outcome(ingest_groups, path, "val", group_size, predicate)
-            == _outcome(_ingest_reference.ingest_groups, path, "val", group_size, predicate))
+    path.write_bytes(text.encode("utf-8"))
+    seen = {}
+
+    def spy(ingest):
+        if not spec:
+            return None
+        seen[ingest] = set()
+        predicate = parse_predicate(spec)[1]
+        return lambda cell: seen[ingest].add(cell) or predicate(cell)
+
+    outcome = _outcome(ingest_groups, path, "val", group_size, spy(ingest_groups))
+    reference = _ingest_reference.ingest_groups
+    assert outcome == _outcome(reference, path, "val", group_size, spy(reference))
+    # the predicate sees only cell texts that csv.reader yields
+    if spec and outcome[0] == "counts":
+        assert seen[ingest_groups] <= seen[reference]
 
 
-def test_predicate_runs_once_per_distinct_non_blank_cell(tmp_path):
+def test_predicate_runs_once_per_distinct_non_blank_cell(tmp_path, monkeypatch):
+    # the first 16-byte block after the header holds rows a to c; the next
+    # holds e's blank cell, so the row loop takes over at row d
+    monkeypatch.setattr(evaluate, "_BLOCK", 16)
     path = tmp_path / "data.csv"
     path.write_text("id,age\na,30\nb,40\nc, 30\nd,30\ne,\n\nf,40\ng,\nh,30\n")
     calls = Counter()
@@ -77,10 +122,13 @@ def test_predicate_runs_once_per_distinct_non_blank_cell(tmp_path):
     ("val>=5", str, "old", "line 70001: cannot evaluate predicate on 'old'"),
     (None, lambda k: "01"[k % 2], "2", "line 70001: expected a 0/1 bit, got '2'"),
 ], ids=["distinct-cells", "repeated-bits"])
-def test_late_bad_cell_keeps_its_line_number(tmp_path, spec, cell, bad, message):
+def test_late_bad_cell_keeps_its_line_number(tmp_path, monkeypatch, spec, cell, bad,
+                                            message):
     # the first case fills the memo to its limit with distinct cells; the second makes
     # nearly every row a hit; blank and whitespace-only rows are skipped
-    # but still counted as lines
+    # but still counted as lines.  With 32-byte blocks the block scan reads the
+    # first rows and the row loop takes over at the whitespace-only row on line 991
+    monkeypatch.setattr(evaluate, "_BLOCK", 32)
     lines = ["id,val"]
     for line_no in range(2, 70_001):
         if line_no % 997 == 0:
@@ -107,11 +155,29 @@ def test_utf8_bom_is_skipped(tmp_path):
     assert ingest_groups(path, "flag", 2).counts.tolist() == [1]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_by_the_row_loop(tmp_path):
+    path = tmp_path / "data.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, daemon=True,
+                              args=(b"\xef\xbb\xbfage,flag\n70,1\n20,0\n",))
+    writer.start()
+    try:
+        # the byte-order mark is not part of the first column's name
+        _, pred = parse_predicate("age>=65")
+        assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("text", [
     b"age,flag\n70,1\nS\xe9te,0\n",
     b"age,flag\n" + b"70,1\n" * 10_000 + b"S\xe9te,0\n",
 ], ids=["first-chunk", "later-chunk"])
-def test_non_utf8_file_is_a_parse_error(tmp_path, text):
+def test_non_utf8_file_is_a_parse_error(tmp_path, monkeypatch, text):
+    # with 64-byte blocks the later chunk's bad byte is 833 blocks in
+    monkeypatch.setattr(evaluate, "_BLOCK", 64)
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid UTF-8$"):
@@ -122,7 +188,8 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, text):
     ("bit\n1\n", "\n", 3),
     ("bit\n\n1\n", "\n", 4),
     ("bit,", "\n1\n", 1),
-], ids=["row", "after-blank-row", "header"])
+    ("bit,x\n1,", "\n", 2),
+], ids=["row", "after-blank-row", "header", "other-column"])
 def test_csv_errors_are_parse_errors_with_a_line_number(tmp_path, head, tail, line):
     path = tmp_path / "data.csv"
     path.write_text(head + "1" * 200_000 + tail)
