@@ -14,9 +14,9 @@ from .core import (
     _check_alpha,
     _check_n,
     _check_props,
+    _flags,
     _sides,
     _tail_costs,
-    check_property,
     is_dp,
 )
 
@@ -43,20 +43,39 @@ def gm_is_column_monotone(alpha: float) -> bool:
 
 
 def gm_derivable(mech: Mechanism, alpha: float) -> bool:
-    """Whether the mechanism can be obtained by post-processing geometric noise.
+    """Whether the mechanism is geometric noise at alpha followed by some
+    post-processing: P = T G for a column-stochastic T, where G is
+    ``geometric(n, alpha)``.
 
-    Tests, for every three row-adjacent entries,
-    (P[i,j] - a*P[i,j-1]) >= a*(P[i,j+1] - a*P[i,j]).
+    Ghosh, Roughgarden and Sundararajan (STOC 2009) show that every optimal
+    alpha-private count mechanism for a user's prior and loss arises this
+    way.  For alpha < 1, G is invertible and 1'T = 1' follows from P and G
+    being column stochastic, so the test is T = P G^-1 >= 0.  G^-1 is
+    tridiagonal up to a positive diagonal scaling, so column k of T is >= 0
+    when every row i of P satisfies
+    P[i,0] >= a*P[i,1] (k = 0),
+    (P[i,k] - a*P[i,k-1]) >= a*(P[i,k+1] - a*P[i,k]) (0 < k < n) and
+    P[i,n] >= a*P[i,n-1] (k = n),
+    each with slack TOL.  At alpha = 1 the same conditions hold exactly for
+    constant rows, which is what post-processing the input-blind G gives.
+    For n = 0 every mechanism passes.
     """
     alpha = _check_alpha(alpha)
     m = mech.matrix
     mid = m[:, 1:-1]
-    left = m[:, :-2]
-    right = m[:, 2:]
-    rhs = right - alpha * mid
+    # two buffers, each updated in place: mid - a*left, and a*(right - a*mid) - TOL;
+    # their difference is >= 0 exactly when the first is >= the second
+    lhs = np.multiply(alpha, m[:, :-2])
+    np.subtract(mid, lhs, out=lhs)
+    rhs = np.multiply(alpha, mid)
+    np.subtract(m[:, 2:], rhs, out=rhs)
     rhs *= alpha
     rhs -= TOL
-    return bool(np.all(mid - alpha * left >= rhs))
+    lhs -= rhs
+    # the slices of columns 1 and n-1 are empty at n = 0, which passes
+    return bool(lhs.min(initial=0.0) >= 0.0
+                and np.all(m[:, :1] >= alpha * m[:, 1:2] - TOL)
+                and np.all(m[:, -1:] >= alpha * m[:, -2:-1] - TOL))
 
 
 @dataclass(frozen=True)
@@ -129,10 +148,19 @@ def dp_alpha_max(mech: Mechanism) -> float:
     needs a pair whose hi and lo + TOL are both below about 1e-22, falls back
     to bisecting the grid that is left.
     """
+    return _dp_alpha_max(mech, mech.matrix + TOL)
+
+
+def _dp_alpha_max(mech: Mechanism, shifted: np.ndarray) -> float:
+    """``dp_alpha_max`` with shifted = mech.matrix + TOL given."""
     steps = DP_ALPHA_GRID_STEPS
-    pairs = zip(_sides(mech.matrix, "DP"), _sides(mech.matrix + TOL, "DP"))
+    pairs = zip(_sides(mech.matrix, "DP"), _sides(shifted, "DP"))
+    ratio = np.empty((len(shifted), len(shifted) - 1))
+    inv = 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = max(np.fmax.reduce(hi / low, None, initial=0.0) for (_, hi, _), (low, _, _) in pairs)
+        for (_, hi, _), (low, _, _) in pairs:
+            inv = max(inv, np.fmax.reduce(np.divide(hi, low, out=ratio), None, initial=0.0))
+    del ratio  # before the privacy checks, which allocate their own buffer
     probe = steps if inv <= 1.0 else max(int(steps / inv), 1)
     good, bad, calls = 0, steps + 1, 0  # grid indices known to pass and to fail
     while bad - good > 1:
@@ -144,11 +172,19 @@ def dp_alpha_max(mech: Mechanism) -> float:
 
 
 def property_report(mech: Mechanism) -> PropertyReport:
-    flags = {p: check_property(mech, p) for p in PROPERTIES}
+    """The seven flags, ``dp_alpha_max`` and the tail costs of a mechanism.
+
+    One copy of the entries plus TOL serves the order flags and the guess of
+    ``dp_alpha_max``.
+    """
+    shifted = mech.matrix + TOL
+    flags = _flags(mech.matrix, shifted, PROPERTIES)
+    alpha_max = _dp_alpha_max(mech, shifted)
+    del shifted  # before the tail costs allocate their distance grid
     tail = _tail_costs(mech).tolist()
     return PropertyReport(
         flags=flags,
-        dp_alpha_max=dp_alpha_max(mech),
+        dp_alpha_max=alpha_max,
         l0=tail[1],
         l0d={d: tail[d] for d in range(1, mech.n + 1)},
     )

@@ -84,8 +84,11 @@ class Mechanism:
     # the mechanism alive; that memo relies on no attribute being rebound
     __slots__ = ("matrix", "n", "__weakref__")
 
-    def __init__(self, entries):
-        matrix = np.array(entries, dtype=np.float64)
+    def __init__(self, entries, *, _adopt: bool = False):
+        # _adopt: entries is a fresh float64 array that this package's
+        # constructors built and no one else holds, so it is kept as it is;
+        # a caller's entries are copied
+        matrix = entries if _adopt else np.array(entries, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
         # negated so that NaN, for which every comparison is false, fails too
@@ -116,13 +119,13 @@ class Mechanism:
         return f"Mechanism(n={self.n}, trace={self.trace():.6f})"
 
 
-def new_mechanism(n: int, entries) -> Mechanism:
+def new_mechanism(n: int, entries, *, _adopt: bool = False) -> Mechanism:
     """Build a Mechanism after checking the entries match the stated group size."""
     entries = np.asarray(entries, dtype=np.float64)
     if entries.shape != (n + 1, n + 1):
         raise DimensionMismatch(
             f"expected shape {(n + 1, n + 1)} for n={n}, got {entries.shape}")
-    return Mechanism(entries)
+    return Mechanism(entries, _adopt=_adopt)
 
 
 def _sides(g: np.ndarray, prop: str):
@@ -131,8 +134,9 @@ def _sides(g: np.ndarray, prop: str):
     ``g`` holds mechanism entries or LP cell indices.  Returns a tuple of
     pieces ``(lhs, rhs, keep)``: ``lhs`` and ``rhs`` are equal-shape strided
     or broadcast views of ``g``, never copies, and ``keep`` marks which of
-    their pairs are comparisons (None: all of them).  The checks compare the
-    views whole and mask the result.  ``build_lp`` gathers the kept pairs
+    their pairs are comparisons (None: all of them).  ``is_dp`` and the F
+    and S flags compare the views whole; ``_flags`` reads RH, RM, CH and CM
+    through maxima and masks instead.  ``build_lp`` gathers the kept pairs
     from the views, position by position in row-major order and piece by
     piece at one position; that is its row order, which keeps the two
     privacy directions of an adjacent pair next to each other.  Several
@@ -168,26 +172,70 @@ def is_dp(mech: Mechanism, alpha: float) -> bool:
 
     Checked multiplicatively (``alpha*x - y <= TOL`` in both directions) so
     zero entries are legal inputs; a zero next to a nonzero entry in a row
-    fails for any alpha materially above TOL.
+    fails for any alpha materially above TOL.  Both directions go through
+    one buffer, and its maximum stands for the comparison of every entry,
+    as no entry is NaN.
     """
     alpha = _check_alpha(alpha)
-    return all(np.all(alpha * rhs - lhs <= TOL) for lhs, rhs, _ in _sides(mech.matrix, "DP"))
+    pieces = _sides(mech.matrix, "DP")
+    buf = np.empty(pieces[0][0].shape)
+    for lhs, rhs, _ in pieces:
+        np.multiply(alpha, rhs, out=buf)
+        buf -= lhs
+        if not buf.max(initial=-math.inf) <= TOL:
+            return False
+    return True
+
+
+#: Properties that compare entries with other entries plus TOL.
+_ORDERS = ("RH", "RM", "CH", "CM")
+
+
+def _flags(g: np.ndarray, shifted, props) -> dict:
+    """The flags of props on the entries g, by name, where shifted is g + TOL
+    (None when no property of ``_ORDERS`` is asked for).
+
+    An order property holds when each of its comparisons rhs <= lhs + TOL
+    holds, read as rhs <= the same view of shifted.  RH compares each row's
+    maximum, and CH each column's, with the shifted diagonal: that is the
+    same as comparing every off-diagonal entry, because g[i, i] <=
+    fl(g[i, i] + TOL).  RM and CM share one mask of the adjacent pairs left
+    of (RM) or above (CM) the diagonal, where the neighbour toward the
+    diagonal is the larger one, and its complement, where the other one is.
+    F and S compare their ``_sides`` within TOL; WH bounds the diagonal.
+    """
+    size = len(g)
+    if {"RM", "CM"} & set(props):
+        toward = np.tri(size, size - 1, -1, dtype=bool)
+        away = ~toward
+    out = {}
+    for prop in props:
+        if prop == "WH":
+            ok = np.all(np.diagonal(g) >= 1.0 / size - TOL)
+        elif prop in _EQUALITIES:
+            # one piece each; no entry is NaN, so the largest gap decides
+            (lhs, rhs, _), = _sides(g, prop)
+            gap = np.subtract(lhs, rhs)
+            ok = np.abs(gap, out=gap).max(initial=0.0) <= TOL
+        elif prop in ("RH", "CH"):
+            ok = np.all(g.max(axis=1 if prop == "RH" else 0) <= np.diagonal(shifted))
+        else:
+            a, s = (g, shifted) if prop == "RM" else (g.T, shifted.T)
+            ok = (np.all((a[:, :-1] <= s[:, 1:]) | away)
+                  and np.all((a[:, 1:] <= s[:, :-1]) | toward))
+        out[prop] = bool(ok)
+    return out
 
 
 def check_property(mech: Mechanism, prop: str) -> bool:
     """Evaluate one of the seven structural properties with additive slack.
 
-    Each comparison rhs <= lhs + TOL reads lhs + TOL as the same view of
-    the entries plus TOL.
+    ``analysis.property_report`` evaluates all seven with the same code
+    (``_flags``), sharing one copy of the entries plus TOL between them.
     """
     _check_props((prop,))
     g = mech.matrix
-    if prop == "WH":
-        return bool(np.all(np.diagonal(g) >= 1.0 / (mech.n + 1) - TOL))
-    if prop in _EQUALITIES:
-        return all(np.all(np.abs(lhs - rhs) <= TOL) for lhs, rhs, _ in _sides(g, prop))
-    return all(np.all(rhs <= lhs if keep is None else (rhs <= lhs) | ~keep)
-               for (_, rhs, keep), (lhs, _, _) in zip(_sides(g, prop), _sides(g + TOL, prop)))
+    return _flags(g, g + TOL if prop in _ORDERS else None, (prop,))[prop]
 
 
 def implied_properties(props) -> frozenset:
@@ -323,7 +371,7 @@ def symmetrize(mech: Mechanism) -> Mechanism:
     held before still holds.
     """
     m = mech.matrix
-    return Mechanism((m + m[::-1, ::-1]) / 2.0)
+    return Mechanism((m + m[::-1, ::-1]) / 2.0, _adopt=True)
 
 
 # ---------------------------------------------------------------------------

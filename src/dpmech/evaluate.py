@@ -247,6 +247,15 @@ def _block_cells(buf: bytes, col: int):
     return [c.decode() for c in keys.astype("<u8").view("S8").tolist()], inverse
 
 
+def _before_invalid(reader):
+    """The records of a reader over text decoded with "surrogateescape",
+    which keeps each byte that is not UTF-8 as a lone surrogate; raises
+    UnicodeEncodeError at the first record that holds one."""
+    for row in reader:
+        "".join(row).encode("utf-8")
+        yield row
+
+
 def _column_of(header, csv_path, column: str) -> int:
     """Index of column in the header row (None when the file is empty)."""
     if header is None:
@@ -266,7 +275,11 @@ def ingest_groups(csv_path, column: str, group_size: int,
     file order; a trailing incomplete group is dropped.  Rows whose cells are
     all blank are skipped.  The file is UTF-8, with or without a byte-order
     mark.  Errors raise ParseError naming the record's line number (the
-    header is line 1), or that the file is not valid UTF-8.
+    header is line 1), or that the file is not valid UTF-8.  A file reports
+    the first of these in file order: every record before the first byte
+    that is not UTF-8 is checked first.  A pipe, which cannot be read twice,
+    reports that byte as soon as the decoder meets it, up to 8 KiB ahead of
+    the last record read.
 
     numpy scans the file in 256 KiB blocks of whole lines while every line
     is plain (valid UTF-8, no quote, NUL or lone '\\r', shorter than the csv
@@ -331,34 +344,50 @@ def ingest_groups(csv_path, column: str, group_size: int,
             offset += len(buf)
         if fh.seekable():
             fh.seek(offset)
-        reader = csv.reader(io.TextIOWrapper(fh, "utf-8" if offset else "utf-8-sig", newline=""))
-        try:
-            if col is None:
-                col = _column_of(next(reader, None), csv_path, column)
-            # every row so far appended a bit or was skipped, so the row at
-            # hand sits on line len(bits) + skipped + 2
-            for row in reader:
-                try:
-                    bit = lookup(row[col])
-                except IndexError:
-                    bit = None
-                if bit is None:
-                    # a cell not seen before, or a short row: the per-row checks
-                    line_no = len(bits) + skipped + 2
-                    if not any(map(str.strip, row)):
-                        skipped += 1
-                        continue
-                    if col >= len(row):
-                        raise ParseError(f"{csv_path}: line {line_no}: too few fields")
-                    bit = learn(row[col])
+        encoding = "utf-8" if offset else "utf-8-sig"
+        mark = len(bits), skipped, col
+        for errors in ("strict", "surrogateescape"):
+            text = io.TextIOWrapper(fh, encoding, errors, newline="")
+            reader = csv.reader(text)
+            if errors != "strict":
+                reader = _before_invalid(reader)
+            try:
+                if col is None:
+                    col = _column_of(next(reader, None), csv_path, column)
+                # every row so far appended a bit or was skipped, so the row at
+                # hand sits on line len(bits) + skipped + 2
+                for row in reader:
+                    try:
+                        bit = lookup(row[col])
+                    except IndexError:
+                        bit = None
                     if bit is None:
-                        raise ParseError(f"{csv_path}: line {line_no}: {what} {row[col]!r}")
-                append(bit)
-        except csv.Error as exc:
-            line_no = 1 if col is None else len(bits) + skipped + 2
-            raise ParseError(f"{csv_path}: line {line_no}: {exc}") from None
-        except UnicodeDecodeError:
-            raise ParseError(f"{csv_path}: not valid UTF-8") from None
+                        # a cell not seen before, or a short row: the per-row checks
+                        line_no = len(bits) + skipped + 2
+                        if not any(map(str.strip, row)):
+                            skipped += 1
+                            continue
+                        if col >= len(row):
+                            raise ParseError(f"{csv_path}: line {line_no}: too few fields")
+                        bit = learn(row[col])
+                        if bit is None:
+                            raise ParseError(f"{csv_path}: line {line_no}: {what} {row[col]!r}")
+                    append(bit)
+                break
+            except csv.Error as exc:
+                line_no = 1 if col is None else len(bits) + skipped + 2
+                raise ParseError(f"{csv_path}: line {line_no}: {exc}") from None
+            except UnicodeError:
+                # the strict decoder reads up to 8 KiB ahead of the rows, so a
+                # row before the bad byte may hold an earlier fault: read the
+                # rows again from the same byte, up to the record that holds
+                # the bad byte (a pipe cannot go back, and reports it now)
+                if errors != "strict" or not fh.seekable():
+                    raise ParseError(f"{csv_path}: not valid UTF-8") from None
+                text.detach()
+                fh.seek(offset)
+                del bits[mark[0]:]
+                _, skipped, col = mark
     groups = len(bits) // group_size
     arr = np.frombuffer(bits, np.uint8)[:groups * group_size]
     return GroupCounts(n=group_size,
@@ -369,33 +398,50 @@ def ingest_groups(csv_path, column: str, group_size: int,
 # empirical metrics
 # ---------------------------------------------------------------------------
 
-def _draws(mech: Mechanism, groups: GroupCounts, seed: int, reps: int):
-    """Yield the outputs of repetition r = 0, 1, ..., reps-1, one array each."""
+def _draws(mech: Mechanism, groups: GroupCounts, seed: int, reps: int, offset=0):
+    """Yield, for repetition r = 0, 1, ..., reps-1, a fresh int64 array of
+    each group's output plus offset (an int, or one int per group).
+
+    Row c of a table holds the first n entries of column c's CDF, then +inf
+    up to a power of two, at least n+1 entries: so a group whose true count
+    is c outputs the number of that row's entries <= u, which is at most n,
+    as the draw rule's cap at n asks.  A branchless bisection over the row
+    finds it in log2(width) gathers.
+    """
     if mech.n != groups.n:
         raise DimensionMismatch(
             f"mechanism size {mech.n} does not match group size {groups.n}")
     if groups.num_groups == 0:
         raise ValueError(f"no complete group of {groups.n} to evaluate")
     n = mech.n
-    # row c of the table is the CDF of column c, padded with +inf to a power
-    # of two so the bisection below needs no bounds check; entries down to
-    # -TOL pass validation, so they are clipped to keep every row sorted
-    width = 1 << (n + 1).bit_length()
-    table = np.full((n + 1, width), np.inf)
-    table[:, :n + 1] = np.cumsum(np.maximum(mech.matrix, 0.0), axis=0).T
+    width = 1 << n.bit_length()
+    table = np.empty((n + 1, width))
+    cdf = table[:, :n]
+    # entries down to -TOL pass validation, so they are clipped to keep every
+    # row sorted; the running sums add the entries in output order
+    np.maximum(mech.matrix[:n].T, 0.0, out=cdf)
+    np.cumsum(cdf, axis=1, out=cdf)
+    table[:, n:] = np.inf
     flat = table.ravel()
     start = groups.counts * width
+    shift = offset - start
+    # one buffer per intermediate of a bisection step, reused by every step
+    vals, hit, inc = (np.empty(groups.num_groups, t) for t in (np.float64, bool, np.int64))
     for r in range(reps):
-        rng = substream(seed, r)
-        u = rng.random(groups.num_groups)
-        # branchless bisection: pos - start ends as the number of CDF entries
-        # <= u; the cap at n lets the last bucket absorb rounding slack
+        u = substream(seed, r).random(groups.num_groups)
+        # pos - start ends as the number of row entries <= u; the view
+        # flat[step - 1:] gathers flat[pos + step - 1] without adding to pos.
+        # mode="clip" lets take write straight into vals ("raise" buffers
+        # first), and never acts, as every index is in range
         pos = start.copy()
         step = width >> 1
         while step:
-            pos += step * (flat[pos + (step - 1)] <= u)
+            np.take(flat[step - 1:], pos, out=vals, mode="clip")
+            np.less_equal(vals, u, out=hit)
+            pos += np.multiply(hit, step, out=inc)
             step >>= 1
-        yield np.minimum(pos - start, n)
+        pos += shift
+        yield pos
 
 
 #: the last draw's (weakref to mech, weakref to groups, seed, reps, histogram)
@@ -418,12 +464,9 @@ def _error_counts(mech: Mechanism, groups: GroupCounts, seed: int, reps: int) ->
         return last[4]
     n = mech.n
     hist = np.empty((reps, 2 * n + 1), np.int64)
-    for r, outputs in enumerate(_draws(mech, groups, seed, reps)):
-        # each rep's outputs are a fresh array: shift them in place into
-        # error + n, which indexes the histogram from 0
-        outputs -= groups.counts
-        outputs += n
-        hist[r] = np.bincount(outputs, minlength=2 * n + 1)
+    # output - count + n indexes the histogram from 0
+    for r, bins in enumerate(_draws(mech, groups, seed, reps, n - groups.counts)):
+        hist[r] = np.bincount(bins, minlength=2 * n + 1)
     hist.setflags(write=False)
     _last_draw = (weakref.ref(mech), weakref.ref(groups), seed, reps, hist)
     return hist

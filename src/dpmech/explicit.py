@@ -39,7 +39,7 @@ def geometric(n: int, alpha: float) -> Mechanism:
     alpha = _check_alpha(alpha, open_top=True)
     scale = np.full(n + 1, (1.0 - alpha) / (1.0 + alpha))  # y on interior rows
     scale[[0, n]] = 1.0 / (1.0 + alpha)  # x on the two extreme rows
-    return new_mechanism(n, scale[:, None] * _by_distance(_powers(alpha, n + 1)))
+    return new_mechanism(n, scale[:, None] * _by_distance(_powers(alpha, n + 1)), _adopt=True)
 
 
 def fair_diagonal(n: int, alpha: float) -> float:
@@ -66,15 +66,20 @@ def explicit_fair(n: int, alpha: float) -> Mechanism:
     pows = _powers(alpha, n + 1)
     idx = np.arange(n + 1)
     dist = _by_distance(idx)
-    edge = np.minimum(idx, n - idx)[None, :]
-    exponent = np.minimum(dist, (dist + edge + 1) // 2)
-    return new_mechanism(n, y * pows[exponent])
+    # one array, updated in place: (dist + edge + 1) // 2, halved by a shift
+    # as it is >= 0, then its minimum with dist
+    exponent = dist + (np.minimum(idx, n - idx) + 1)
+    exponent >>= 1
+    np.minimum(dist, exponent, out=exponent)
+    cells = pows.take(exponent)
+    cells *= y
+    return new_mechanism(n, cells, _adopt=True)
 
 
 def uniform(n: int) -> Mechanism:
     """Input-blind mechanism: every entry 1/(n+1)."""
     n = _check_n(n)
-    return new_mechanism(n, np.full((n + 1, n + 1), 1.0 / (n + 1)))
+    return new_mechanism(n, np.full((n + 1, n + 1), 1.0 / (n + 1)), _adopt=True)
 
 
 def gm_l0_cost(alpha: float) -> float:

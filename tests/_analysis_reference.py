@@ -1,12 +1,14 @@
-"""The property checks and `dp_alpha_max` that the view-based ones replaced.
+"""The property checks and `dp_alpha_max` that the view-based ones replaced,
+and a matrix-inverse oracle for `gm_derivable`.
 
 Each flag gathers its comparisons into new arrays with boolean masks and
 float `np.where`, privacy is checked on the gathered pairs, `dp_alpha_max`
 bisects the k/1000 grid with `is_dp`, and the tail costs read the |i-j| grid
 from `np.subtract.outer`.  `core.check_property`, `core.is_dp` and
-`analysis.dp_alpha_max` now compare views and guess the end of the grid in
-one pass; the equivalence tests hold `property_report` to this module's,
-bit for bit, and `gm_derivable` (now with fewer temporaries) to its flag.
+`analysis.dp_alpha_max` now compare views, row and column maxima, and guess
+the end of the grid in one pass; the equivalence tests hold
+`property_report` to this module's, bit for bit.  `gm_derivable` here
+solves for the post-processing T = P G^-1 outright.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from dpmech.analysis import DP_ALPHA_GRID_STEPS, PropertyReport
 from dpmech.core import PROPERTIES, TOL, Mechanism
+from dpmech.explicit import geometric
 
 
 def _sides(g: np.ndarray, prop: str):
@@ -66,11 +69,23 @@ def dp_alpha_max(mech: Mechanism) -> float:
     return lo / steps
 
 
-def gm_derivable(mech: Mechanism, alpha: float) -> bool:
+def gm_derivable(mech: Mechanism, alpha: float):
+    """Whether P = T G for G = geometric(n, alpha) and some T >= 0, or None
+    when the answer sits within 1e-6 of the boundary, where TOL decides it.
+
+    For alpha < 1, T = P G^-1.  At alpha = 1, G's interior rows are 0 and its
+    two extreme rows are constant, so P = T G exactly when every row of P is
+    constant; the row spread stands in for min T.
+    """
     m = mech.matrix
-    lhs = m[:, 1:-1] - alpha * m[:, :-2]
-    rhs = alpha * (m[:, 2:] - alpha * m[:, 1:-1])
-    return bool(np.all(lhs >= rhs - TOL))
+    if mech.n == 0:
+        return True
+    if alpha == 1.0:
+        spread = float((m.max(axis=1) - m.min(axis=1)).max())
+        return None if 0.0 < spread < 1e-6 else spread == 0.0
+    g = geometric(mech.n, alpha).matrix
+    low = float(np.linalg.solve(g.T, m.T).min())
+    return None if abs(low) < 1e-6 else low > 0.0
 
 
 def property_report(mech: Mechanism) -> PropertyReport:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ def random_fair_mechanism(rng: np.random.Generator, n: int,
     m = m / col * (1.0 - diagonal)
     np.fill_diagonal(m, diagonal)
     return Mechanism(m)
+
+
+def peak_arrays(fn, n: int) -> float:
+    """Peak bytes that fn() holds at once beyond what was held before it,
+    counted by tracemalloc (numpy reports its buffers to it), in units of
+    one (n+1) x (n+1) float64 array."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / ((n + 1) ** 2 * 8)
 
 
 @pytest.fixture

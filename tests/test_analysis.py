@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _analysis_reference as reference
-from conftest import ALPHA_GRID7
+from conftest import ALPHA_GRID7, peak_arrays
 from dpmech import (
     PROPERTIES,
     check_property,
@@ -92,6 +92,19 @@ class TestGmDerivable:
     def test_size_one_fair_is_derivable(self):
         # randomized response is the geometric mechanism at n=1
         assert gm_derivable(explicit_fair(1, 0.62), 0.62)
+
+    @pytest.mark.parametrize("a", [0.62, 0.9, 1.0])
+    def test_boundary_columns_count(self, a):
+        # no interior triple fails in either; the identity at n=1 has none,
+        # and in the n=2 mechanism row 0 rises too fast from column 0 and
+        # row 1 falls too fast into column 2
+        for m in (np.eye(2), [[0.2, 0.5, 0.8], [0.8, 0.5, 0.2], [0.0, 0.0, 0.0]]):
+            mech = Mechanism(m)
+            assert reference.gm_derivable(mech, a) is False
+            assert not gm_derivable(mech, a)
+
+    def test_size_zero_is_derivable(self):
+        assert gm_derivable(Mechanism([[1.0]]), 0.5)
 
 
 class TestSelectStrategy:
@@ -245,12 +258,56 @@ class TestReportMatchesReference:
     def test_random_mechanisms(self, mech):
         assert _bits(property_report(mech)) == _bits(reference.property_report(mech))
         for a in (0.3, 0.62, 0.9, 1.0):
-            assert gm_derivable(mech, a) == reference.gm_derivable(mech, a)
+            want = reference.gm_derivable(mech, a)
+            assert want is None or gm_derivable(mech, a) == want, a
 
     @pytest.mark.parametrize("make", [geometric, explicit_fair])
     def test_n400(self, make):
         mech = make(400, 0.9)
         assert _bits(property_report(mech)) == _bits(reference.property_report(mech))
+
+
+class TestFlagSlackEdges:
+    """Each order flag at the edge of its slack: on the uniform mechanism of
+    size 4, one entry is raised to exactly fl(lhs + TOL), or one ulp above,
+    and the rest of its column gives up the excess, each entry by less than
+    TOL, so no other comparison of the flag moves to its edge."""
+
+    # (property, the entry raised, the entry it is compared with)
+    @pytest.mark.parametrize("prop, raised, lhs", [
+        ("RH", (1, 3), (1, 1)),
+        ("CH", (3, 1), (1, 1)),
+        ("RM", (3, 1), (3, 2)),
+        ("CM", (3, 1), (2, 1)),
+    ])
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_at_and_above_the_slack(self, prop, raised, lhs, ulps):
+        m = uniform(4).matrix.copy()
+        value = m[lhs] + TOL
+        for _ in range(ulps):
+            value = np.nextafter(value, np.inf)
+        column = raised[1]
+        others = [i for i in range(5) if (i, column) not in (raised, lhs)]
+        m[others, column] -= (value - m[raised]) / len(others)
+        m[raised] = value
+        mech = Mechanism(m)
+        assert check_property(mech, prop) is (ulps == 0)
+        assert _bits(property_report(mech)) == _bits(reference.property_report(mech))
+
+
+class TestAllocations:
+    """Peak memory of the analysis at n=400, in (n+1)^2 float64 arrays: a
+    deterministic guard against full-size temporaries coming back."""
+
+    def test_property_report(self):
+        mech = geometric(400, 0.9)
+        # the entries plus TOL, and one ratio or privacy-check buffer
+        assert peak_arrays(lambda: property_report(mech), 400) <= 2.5
+
+    def test_gm_derivable(self):
+        mech = geometric(400, 0.9)
+        # the two sides of the interior test
+        assert peak_arrays(lambda: gm_derivable(mech, 0.9), 400) <= 2.1
 
 
 class TestDpAlphaMax:

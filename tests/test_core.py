@@ -104,6 +104,15 @@ class TestNewMechanism:
         with pytest.raises(ValueError):
             m.matrix[0, 0] = 0.5
 
+    def test_caller_arrays_are_copied(self):
+        entries = np.full((3, 3), 1 / 3)
+        mechs = (Mechanism(entries), new_mechanism(2, entries))
+        entries[0, 0] = 0.0
+        for mech in mechs:
+            assert not np.shares_memory(mech.matrix, entries)
+            assert mech.matrix[0, 0] == 1 / 3
+        assert entries.flags.writeable
+
     def test_attributes_cannot_be_rebound(self):
         m = uniform(2)
         for name, value in (("matrix", np.eye(3)), ("n", 5)):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _sampling_reference
+from conftest import peak_arrays
 
 from dpmech import (
     EvalConfig,
@@ -288,6 +289,14 @@ class TestSampler:
         assert got.min() >= 0 and got.max() <= 2
         clipped = _dense_outputs(np.maximum(matrix, 0.0), counts, [values])[0]
         assert np.array_equal(got, clipped)
+
+    def test_peak_memory_is_the_cdf_table(self):
+        # at n=400 the table is 401 x 512 floats, 1.28 (n+1)^2 arrays; the
+        # per-group buffers of 1,000 groups add about 0.04 each
+        mech = geometric(400, 0.9)
+        counts = np.random.default_rng(4).binomial(400, 0.5, size=1000)
+        groups = GroupCounts(n=400, counts=counts)
+        assert peak_arrays(lambda: evaluate._error_counts(mech, groups, 1, 3), 400) <= 1.5
 
 
 def _mechanism_near_the_floor(rng, n):

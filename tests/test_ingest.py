@@ -184,6 +184,33 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, monkeypatch, text):
         ingest_groups(path, "flag", 1)
 
 
+# a bad row whose "\n" is byte 8194 and a bad byte at 8276; then a bad row
+# across byte 8196, 8 KiB past the header, and a bad byte after it
+_NEAR_8K = b"c,b\n" + b"x,1\n" * 2046 + b"x,2222\n" + b"x,1\n" * 20 + b"x\xe9,1\n"
+_ACROSS_8K = b"c,b\n" + b"x,1\n" * 2047 + b"x,2222\n" + b"x,1\n" * 20 + b"\xe9,1\n"
+
+
+@pytest.mark.parametrize("block", [16, 64, 1 << 18])
+@pytest.mark.parametrize("text, message", [
+    (b"c,b\nx,1\nx,2222\nx,1\n\xe9,1\n", "line 3: expected a 0/1 bit, got '2222'"),
+    (b"c,b\nx,1\n\xe9,1\nx,2222\n", "not valid UTF-8"),
+    (b"c,b\nx,1\nx\xe9,2\n", "not valid UTF-8"),
+    (b'"c\xe9",b\nx,1\n', "not valid UTF-8"),
+    (_NEAR_8K, "line 2048: expected a 0/1 bit, got '2222'"),
+    (_ACROSS_8K, "line 2049: expected a 0/1 bit, got '2222'"),
+], ids=["bad-row-first", "bad-byte-first", "both-in-one-row", "header", "near-8KiB",
+        "across-8KiB"])
+def test_the_first_fault_in_file_order_is_reported(tmp_path, monkeypatch, block, text,
+                                                   message):
+    # the strict decoder reads up to 8 KiB ahead of the rows, and the block
+    # size moves the byte where it starts
+    monkeypatch.setattr(evaluate, "_BLOCK", block)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        ingest_groups(path, "b", 1)
+
+
 @pytest.mark.parametrize("head, tail, line", [
     ("bit\n1\n", "\n", 3),
     ("bit\n\n1\n", "\n", 4),
