@@ -1,5 +1,9 @@
-"""Closed-form threshold tests, the derivability check, strategy selection
-and whole-mechanism property reports."""
+"""The derivability check, ``dp_alpha_max`` and whole-mechanism property
+reports.
+
+The closed-form threshold tests and the strategy choice (``select_strategy``
+and its ``USE_*``/``SOLVE_LP_*`` names) are defined in ``strategy``, which
+needs no numpy, and are exposed here too."""
 
 from __future__ import annotations
 
@@ -7,39 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+from .core import TOL, Mechanism, _flags, _sides, _tail_costs, is_dp
+from .strategy import (
     PROPERTIES,
-    TOL,
-    Mechanism,
+    SOLVE_LP_WH,
+    SOLVE_LP_WH_CM,
+    USE_EM,
+    USE_GM,
+    SelectionResult,
     _check_alpha,
-    _check_n,
-    _check_props,
-    _flags,
-    _sides,
-    _tail_costs,
-    is_dp,
+    gm_is_column_monotone,
+    gm_weak_honesty_threshold,
+    select_strategy,
 )
 
 #: Fixed grid used for dp_alpha_max: 0.001, 0.002, ..., 1.000.
 DP_ALPHA_GRID_STEPS = 1000
-
-USE_EM = "UseEM"
-USE_GM = "UseGM"
-SOLVE_LP_WH = "SolveLP_WH"
-SOLVE_LP_WH_CM = "SolveLP_WH_CM"
-
-
-def gm_weak_honesty_threshold(alpha: float) -> float:
-    """Group size above which the geometric mechanism's interior diagonal
-    reaches the uniform-guessing level 1/(n+1): returns 2a/(1-a)."""
-    alpha = _check_alpha(alpha, open_top=True)
-    return 2.0 * alpha / (1.0 - alpha)
-
-
-def gm_is_column_monotone(alpha: float) -> bool:
-    """The geometric mechanism is column monotone exactly when alpha <= 1/2."""
-    alpha = _check_alpha(alpha, open_top=True)
-    return alpha <= 0.5
 
 
 def gm_derivable(mech: Mechanism, alpha: float) -> bool:
@@ -76,42 +63,6 @@ def gm_derivable(mech: Mechanism, alpha: float) -> bool:
     return bool(lhs.min(initial=0.0) >= 0.0
                 and np.all(m[:, :1] >= alpha * m[:, 1:2] - TOL)
                 and np.all(m[:, -1:] >= alpha * m[:, -2:-1] - TOL))
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    strategy: str
-    rationale: str
-
-
-def select_strategy(n: int, alpha: float, props) -> SelectionResult:
-    """Pick one of the four distinct ways to realise a property set at minimal
-    wrong-answer cost: the fair mechanism, the geometric mechanism, or an LP
-    solve with weak honesty (alone, or with the column constraints).  Requires
-    0 < alpha < 1, as the two mechanisms do."""
-    n = _check_n(n)
-    alpha = _check_alpha(alpha, open_top=True)
-    props = _check_props(props)
-    if "F" in props:
-        return SelectionResult(
-            USE_EM, "fairness requested; the explicit fair mechanism is the "
-                    "optimal fair mechanism and carries every other property")
-    if "CH" in props or "CM" in props:
-        if gm_is_column_monotone(alpha):
-            return SelectionResult(
-                USE_GM, f"column properties requested but alpha={alpha} <= 1/2, "
-                        "where the geometric mechanism is already column monotone")
-        return SelectionResult(
-            SOLVE_LP_WH_CM, "column properties requested at alpha > 1/2; solve "
-                            "the LP with weak honesty and column monotonicity")
-    threshold = gm_weak_honesty_threshold(alpha)
-    if "WH" in props and n < threshold:
-        return SelectionResult(
-            SOLVE_LP_WH, f"weak honesty requested and n={n} is below the "
-                         f"geometric mechanism's threshold {threshold:.4g}")
-    return SelectionResult(
-        USE_GM, "requested properties come free with the geometric mechanism, "
-                "which is optimal among all private mechanisms")
 
 
 @dataclass(frozen=True)

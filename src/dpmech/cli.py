@@ -5,6 +5,14 @@ command writes a single JSON document to stdout and keeps diagnostics on
 stderr, so output composes in pipelines.  Exit codes: 0 success, 1 solver
 failure, 2 flag/mechanism-file errors, 3 data errors (evaluate).  Every flag
 error exits 2 before a mechanism or data file is read or any file is written.
+
+Each subcommand imports only what it runs, so a process pays for nothing
+else: ``select``, ``--help`` and the flag errors found before a subcommand
+runs (argparse's, and ``main``'s own checks) need only ``strategy`` and no
+numpy; ``export-heatmap`` loads ``core``, and ``analyze`` adds
+``analysis``; ``design`` loads ``core``, ``analysis`` and ``explicit``, and
+``lp`` only for ``--mechanism lp``; ``evaluate`` loads ``core`` and
+``evaluate``.  numpy comes in with ``core``.
 """
 
 from __future__ import annotations
@@ -13,10 +21,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import analysis, core, evaluate, explicit, lp
 from .errors import AlphaOutOfRange, DpMechError, LpInternalError, NumericalInstability
+from .strategy import PROPERTIES, _check_alpha, _check_n, select_strategy
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -31,14 +37,18 @@ def _parse_props(text: str) -> frozenset:
         t = tok.strip()
         if not t:
             continue
-        if t.upper() not in core.PROPERTIES:
+        if t.upper() not in PROPERTIES:
             raise argparse.ArgumentTypeError(
-                f"unknown property {t!r}; expected {'/'.join(core.PROPERTIES)}")
+                f"unknown property {t!r}; expected {'/'.join(PROPERTIES)}")
         out.add(t.upper())
     return frozenset(out)
 
 
-def _load_weights(spec: str, n: int) -> np.ndarray:
+def _load_weights(spec: str, n: int):
+    import numpy as np
+
+    from . import core
+
     if spec == "uniform":
         return core.uniform_weights(n)
     try:
@@ -56,7 +66,9 @@ def _load_weights(spec: str, n: int) -> np.ndarray:
     return np.asarray(values)
 
 
-def _build_objective(name: str, d: int, weights: np.ndarray) -> core.Objective:
+def _build_objective(name: str, d: int, weights):
+    from . import core
+
     if d and name != "l0d":
         raise ValueError(f"--d applies only to --objective l0d, not {name}")
     p = {"l0": 0, "l0d": 0, "l1": 1, "l2": 2}[name]
@@ -73,8 +85,10 @@ def _fail(code: int, message: str) -> int:
 
 
 def _cmd_design(args) -> int:
+    from . import analysis, core, explicit
+
     try:
-        core._check_n(args.n)
+        _check_n(args.n)
         weights = _load_weights(args.weights, args.n)
         objective = _build_objective(args.objective, args.d, weights)
         core._check_objective(objective, args.n)
@@ -83,6 +97,8 @@ def _cmd_design(args) -> int:
 
     try:
         if args.mechanism == "lp":
+            from . import lp
+
             problem = lp.build_lp(args.n, args.alpha, args.props, objective)
             if args.dump_lp:
                 with open(args.dump_lp, "w", encoding="utf-8") as fh:
@@ -121,6 +137,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis, core
+
     try:
         mech, file_alpha = core.read_mechanism_csv(args.infile)
         alpha = args.alpha if args.alpha is not None else file_alpha
@@ -137,7 +155,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_select(args) -> int:
     try:
-        result = analysis.select_strategy(args.n, args.alpha, args.props)
+        result = select_strategy(args.n, args.alpha, args.props)
     except (ValueError, DpMechError) as exc:
         return _fail(EXIT_FLAGS, str(exc))
     _emit({"strategy": result.strategy, "rationale": result.rationale})
@@ -145,10 +163,12 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import core, evaluate
+
     try:
         cfg = evaluate.EvalConfig(reps=args.reps, seed=args.seed, d=args.d,
                                   metric=args.metric)
-        core._check_n(args.group_size)
+        _check_n(args.group_size)
         if args.data == "binomial":
             rng = evaluate.substream(args.seed, evaluate.DATA_STREAM)
             groups = evaluate.binomial_population(args.total, args.group_size,
@@ -174,6 +194,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export_heatmap(args) -> int:
+    from . import core
+
     try:
         mech, _ = core.read_mechanism_csv(args.infile)
     except (OSError, DpMechError) as exc:
@@ -181,9 +203,11 @@ def _cmd_export_heatmap(args) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("input,output,probability\n")
-            for j in range(mech.n + 1):
-                for i in range(mech.n + 1):
-                    fh.write(f"{j},{i},{mech.matrix[i, j]:.16e}\n")
+            # one row per (input j, output i), inputs outermost: each row of
+            # the transpose is one input's column, written in one call, and
+            # Python floats format faster than numpy scalars
+            for j, column in enumerate(mech.matrix.T.tolist()):
+                fh.write("".join([f"{j},{i},{p:.16e}\n" for i, p in enumerate(column)]))
     except OSError as exc:
         return _fail(EXIT_FLAGS, f"cannot write {args.out}: {exc}")
     _emit({"out": str(args.out), "rows": (mech.n + 1) ** 2})
@@ -256,7 +280,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_FLAGS, f"--alpha is required for --mechanism {args.mechanism}")
     if getattr(args, "alpha", None) is not None:
         try:
-            core._check_alpha(args.alpha)
+            _check_alpha(args.alpha)
         except AlphaOutOfRange as exc:
             return _fail(EXIT_FLAGS, str(exc))
     if args.command == "design" and args.mechanism != "lp" and (args.props or args.dump_lp):

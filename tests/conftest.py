@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,15 @@ def random_fair_mechanism(rng: np.random.Generator, n: int,
     return Mechanism(m)
 
 
+def edge_mechanism() -> Mechanism:
+    """A valid mechanism whose entries include 1, 0, -0, the smallest normal
+    number and two subnormal ones: the cases where formatting a Python float
+    and a numpy scalar could part."""
+    return Mechanism([[1.0, 5e-324, 0.1],
+                      [0.0, 1.0, 1e-310],
+                      [-0.0, 2.2250738585072014e-308, 0.9]])
+
+
 def peak_arrays(fn, n: int) -> float:
     """Peak bytes that fn() holds at once beyond what was held before it,
     counted by tracemalloc (numpy reports its buffers to it), in units of
@@ -58,6 +71,19 @@ def peak_arrays(fn, n: int) -> float:
     finally:
         tracemalloc.stop()
     return (peak - held) / ((n + 1) ** 2 * 8)
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports this checkout's dpmech;
+    returns its stdout."""
+    import dpmech
+
+    src = str(Path(dpmech.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import edge_mechanism
 from dpmech import (
     cli,
     explicit_fair,
@@ -295,7 +296,6 @@ def test_design_lp_flags_exit_2_for_a_closed_form(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: certify refuses an optimal answer")
 def test_design_n24_alpha_0_3_exits_0(tmp_path, capsys):
     code = cli.main(["design", "--n", "24", "--alpha", "0.3", "--out", str(tmp_path / "m.csv")])
     assert code == cli.EXIT_OK, capsys.readouterr().err
@@ -335,6 +335,16 @@ def test_export_heatmap_reads_back_the_matrix_bit_for_bit(tmp_path, capsys):
         j, i, value = line.split(",")
         back[int(i), int(j)] = float(value)
     assert back.tobytes() == read_mechanism_csv(path)[0].matrix.tobytes()
+
+
+def test_export_heatmap_bytes_match_numpy_scalar_formatting(tmp_path, capsys):
+    mech = edge_mechanism()
+    path, out = tmp_path / "m.csv", tmp_path / "heat.csv"
+    write_mechanism_csv(mech, path)
+    assert cli.main(["export-heatmap", "--in", str(path), "--out", str(out)]) == cli.EXIT_OK
+    # rows as the per-entry loop over numpy scalars wrote them, inputs outermost
+    rows = [f"{j},{i},{mech.matrix[i, j]:.16e}\n" for j in range(3) for i in range(3)]
+    assert out.read_bytes() == ("input,output,probability\n" + "".join(rows)).encode()
 
 
 def test_export_heatmap_missing_input_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALPHA_GRID7,
+    edge_mechanism,
     random_dp_mechanism,
     random_fair_mechanism,
     random_mechanism,
@@ -395,6 +396,17 @@ class TestMechanismCsv:
         back, alpha = read_mechanism_csv(path)
         assert alpha == 0.62
         assert np.array_equal(back.matrix, mech.matrix)
+
+    @pytest.mark.parametrize("alpha", [None, 0.62])
+    def test_bytes_match_numpy_scalar_formatting(self, tmp_path, alpha):
+        mech = edge_mechanism()
+        path = tmp_path / "m.csv"
+        write_mechanism_csv(mech, path, alpha=alpha)
+        # the writer formats Python floats; numpy scalars must give the same text
+        head = "NA" if alpha is None else f"{np.float64(alpha):.16e}"
+        lines = [f"2,{head}", *(",".join(f"{v:.16e}" for v in row) for row in mech.matrix)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert read_mechanism_csv(path)[0].matrix.tobytes() == mech.matrix.tobytes()
 
     def test_na_alpha(self, tmp_path):
         path = tmp_path / "m.csv"

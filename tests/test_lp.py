@@ -3,11 +3,7 @@
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +14,7 @@ from conftest import (
     random_dp_mechanism,
     random_fair_mechanism,
     random_mechanism,
+    run_fresh,
 )
 from dpmech import (
     PROPERTIES,
@@ -50,6 +47,7 @@ from dpmech.lp import (
     STATUS_UNBOUNDED,
     CooMatrix,
     LinearProgram,
+    _basis_duals,
     certify,
 )
 from dpmech.errors import DimensionMismatch, NumericalInstability
@@ -168,7 +166,7 @@ class TestBuildLp:
 
     def test_n128_builds_under_a_3gib_address_space_cap(self):
         # dpbench's worker runs under this cap; a dense a would take 4.11 GiB
-        out = _run_fresh(
+        out = run_fresh(
             "import json, resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
             "from dpmech import build_lp, l0_objective, max_violation, uniform\n"
@@ -368,10 +366,8 @@ class TestSolveLp:
         assert max_violation(lp, sol.values) <= 1e-9
         assert sol.objective_value == pytest.approx(linprog_optimum(lp), abs=1e-9)
 
-    # ROADMAP item 1: certify refuses these optimal answers, which HiGHS and
-    # linprog agree on; each must pass once the dual side proves them
-    @pytest.mark.xfail(strict=True, raises=NumericalInstability,
-                       reason="certify refuses an optimal answer")
+    # HiGHS's own row duals fail certify on each of these (reduced costs of
+    # basic columns up to 4e-6); the duals of its final basis prove them
     @pytest.mark.parametrize("n", [24, 32])
     @pytest.mark.parametrize("props, objective", [
         ((), l0_objective), ((), l1_objective),
@@ -437,16 +433,19 @@ class TestCertify:
             certify(lp, np.zeros(lp.num_vars), np.zeros(lp.num_constraints))
 
 
-def _run_fresh(code: str) -> str:
-    """Run code in a new interpreter that imports this checkout's dpmech."""
-    import dpmech
+class TestBasisDuals:
+    def test_structural_and_logical_basics(self):
+        # min x1 + 2 x2 s.t. x1 + x2 >= 1, x1 <= 5: at x = (1, 0) the basis is
+        # x1 (row 0) and row 1's logical, so y1 = 0 and y0 = c1 = 1
+        lp = _mk([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [REL_GE, REL_LE], [1.0, 5.0])
+        y = _basis_duals(lp, np.array([0, -2], dtype=np.int32))
+        assert y.tolist() == [1.0, 0.0]
+        certify(lp, np.array([1.0, 0.0]), y)
 
-    src = str(Path(dpmech.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    def test_singular_basis_is_numerical_instability(self):
+        lp = _mk([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [REL_GE, REL_GE], [1.0, 1.0])
+        with pytest.raises(NumericalInstability, match="final basis cannot be factored"):
+            _basis_duals(lp, np.array([0, 1], dtype=np.int32))
 
 
 class TestHighsLoader:
@@ -459,7 +458,7 @@ class TestHighsLoader:
              "assert lp._highs() is core\n")
 
     def test_design_command_loads_neither_optimize_nor_sparse(self, tmp_path):
-        out = _run_fresh(
+        out = run_fresh(
             "import json, sys\n"
             "from dpmech import cli\n"
             "code = cli.main(['design', '--mechanism', 'lp', '--n', '5', '--alpha', '0.62',\n"
@@ -470,10 +469,22 @@ class TestHighsLoader:
         assert "scipy.optimize._highspy._core" in loaded
         assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
 
+    def test_only_the_dual_fallback_loads_sparse_linalg(self, tmp_path):
+        # HiGHS's own duals fail certify at n=24, alpha=0.3 (ROADMAP item 1)
+        out = run_fresh(
+            "import json, sys\n"
+            "from dpmech import cli\n"
+            "code = cli.main(['design', '--n', '24', '--alpha', '0.3',\n"
+            f"                 '--out', {str(tmp_path / 'm.csv')!r}])\n"
+            "assert code == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+        loaded = json.loads(out.splitlines()[-1])
+        assert "scipy.sparse.linalg" in loaded and "scipy.optimize" not in loaded
+
     @pytest.mark.parametrize("first", ["scipy", "solve"])
     def test_scipy_optimize_imports_before_or_after_a_solve(self, first):
         steps = [self._SCIPY, self._SOLVE] if first == "scipy" else [self._SOLVE, self._SCIPY]
-        _run_fresh("".join(steps) + self._SAME)
+        run_fresh("".join(steps) + self._SAME)
 
 
 class TestDesignMechanism:
