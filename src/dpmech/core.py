@@ -26,9 +26,7 @@ from .strategy import (
     PROPERTIES,
     _check_alpha,
     _check_d,
-    _check_n,
     _check_props,
-    _check_reps,
     _check_whole,
 )
 

@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mechanism, _check_d, _check_n, _check_reps
+from .core import Mechanism
 from .errors import (
     BadProbability,
     DimensionMismatch,
     ParseError,
     UnknownColumn,
 )
+from .strategy import _check_d, _check_n, _check_reps
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -247,13 +248,14 @@ def _block_cells(buf: bytes, col: int):
     return [c.decode() for c in keys.astype("<u8").view("S8").tolist()], inverse
 
 
-def _before_invalid(reader):
-    """The records of a reader over text decoded with "surrogateescape",
-    which keeps each byte that is not UTF-8 as a lone surrogate; raises
-    UnicodeEncodeError at the first record that holds one."""
-    for row in reader:
-        "".join(row).encode("utf-8")
-        yield row
+def _utf8_lines(text):
+    """The lines of text decoded with "surrogateescape", which keeps each
+    byte that is not UTF-8 as a lone surrogate; raises UnicodeEncodeError at
+    the first line that holds one."""
+    for line in text:
+        if not line.isascii():
+            line.encode("utf-8")
+        yield line
 
 
 def _column_of(header, csv_path, column: str) -> int:
@@ -275,11 +277,9 @@ def ingest_groups(csv_path, column: str, group_size: int,
     file order; a trailing incomplete group is dropped.  Rows whose cells are
     all blank are skipped.  The file is UTF-8, with or without a byte-order
     mark.  Errors raise ParseError naming the record's line number (the
-    header is line 1), or that the file is not valid UTF-8.  A file reports
-    the first of these in file order: every record before the first byte
-    that is not UTF-8 is checked first.  A pipe, which cannot be read twice,
-    reports that byte as soon as the decoder meets it, up to 8 KiB ahead of
-    the last record read.
+    header is line 1), or that the file is not valid UTF-8.  A file or a
+    pipe reports the first of these in file order: every record before the
+    first line that holds a byte that is not UTF-8 is checked first.
 
     numpy scans the file in 256 KiB blocks of whole lines while every line
     is plain (valid UTF-8, no quote, NUL or lone '\\r', shorter than the csv
@@ -345,49 +345,37 @@ def ingest_groups(csv_path, column: str, group_size: int,
         if fh.seekable():
             fh.seek(offset)
         encoding = "utf-8" if offset else "utf-8-sig"
-        mark = len(bits), skipped, col
-        for errors in ("strict", "surrogateescape"):
-            text = io.TextIOWrapper(fh, encoding, errors, newline="")
-            reader = csv.reader(text)
-            if errors != "strict":
-                reader = _before_invalid(reader)
-            try:
-                if col is None:
-                    col = _column_of(next(reader, None), csv_path, column)
-                # every row so far appended a bit or was skipped, so the row at
-                # hand sits on line len(bits) + skipped + 2
-                for row in reader:
-                    try:
-                        bit = lookup(row[col])
-                    except IndexError:
-                        bit = None
+        # bound here so that it outlives the generator, which drops it when it
+        # raises: freed while fh is open, it would close fh with a ResourceWarning
+        text = io.TextIOWrapper(fh, encoding, "surrogateescape", newline="")
+        reader = csv.reader(_utf8_lines(text))
+        try:
+            if col is None:
+                col = _column_of(next(reader, None), csv_path, column)
+            # every row so far appended a bit or was skipped, so the row at
+            # hand sits on line len(bits) + skipped + 2
+            for row in reader:
+                try:
+                    bit = lookup(row[col])
+                except IndexError:
+                    bit = None
+                if bit is None:
+                    # a cell not seen before, or a short row: the per-row checks
+                    line_no = len(bits) + skipped + 2
+                    if not any(map(str.strip, row)):
+                        skipped += 1
+                        continue
+                    if col >= len(row):
+                        raise ParseError(f"{csv_path}: line {line_no}: too few fields")
+                    bit = learn(row[col])
                     if bit is None:
-                        # a cell not seen before, or a short row: the per-row checks
-                        line_no = len(bits) + skipped + 2
-                        if not any(map(str.strip, row)):
-                            skipped += 1
-                            continue
-                        if col >= len(row):
-                            raise ParseError(f"{csv_path}: line {line_no}: too few fields")
-                        bit = learn(row[col])
-                        if bit is None:
-                            raise ParseError(f"{csv_path}: line {line_no}: {what} {row[col]!r}")
-                    append(bit)
-                break
-            except csv.Error as exc:
-                line_no = 1 if col is None else len(bits) + skipped + 2
-                raise ParseError(f"{csv_path}: line {line_no}: {exc}") from None
-            except UnicodeError:
-                # the strict decoder reads up to 8 KiB ahead of the rows, so a
-                # row before the bad byte may hold an earlier fault: read the
-                # rows again from the same byte, up to the record that holds
-                # the bad byte (a pipe cannot go back, and reports it now)
-                if errors != "strict" or not fh.seekable():
-                    raise ParseError(f"{csv_path}: not valid UTF-8") from None
-                text.detach()
-                fh.seek(offset)
-                del bits[mark[0]:]
-                _, skipped, col = mark
+                        raise ParseError(f"{csv_path}: line {line_no}: {what} {row[col]!r}")
+                append(bit)
+        except csv.Error as exc:
+            line_no = 1 if col is None else len(bits) + skipped + 2
+            raise ParseError(f"{csv_path}: line {line_no}: {exc}") from None
+        except UnicodeError:
+            raise ParseError(f"{csv_path}: not valid UTF-8") from None
     groups = len(bits) // group_size
     arr = np.frombuffer(bits, np.uint8)[:groups * group_size]
     return GroupCounts(n=group_size,

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Mechanism, _by_distance, _check_alpha, _check_n, new_mechanism
+from .core import Mechanism, _by_distance, new_mechanism
+from .strategy import _check_alpha, _check_n
 
 __all__ = [
     "geometric",

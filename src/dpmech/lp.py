@@ -40,19 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _EQUALITIES,
-    PROPERTIES,
-    TOL,
-    Mechanism,
-    Objective,
-    _check_alpha,
-    _check_n,
-    _check_props,
-    _sides,
-    cell_costs,
-)
+from .core import _EQUALITIES, TOL, Mechanism, Objective, _sides, cell_costs
 from .errors import LpInternalError, NumericalInstability
+from .strategy import PROPERTIES, _check_alpha, _check_n, _check_props
 
 REL_LE = -1
 REL_EQ = 0

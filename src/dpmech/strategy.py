@@ -1,14 +1,16 @@
 """Property names, argument validators and the closed-form strategy choice.
 
 Nothing here needs an array, so this module imports no numpy: ``dpmech
-select`` runs on it alone.  ``core`` and ``analysis`` take these names from
-here and expose them as their own.
+select`` runs on it alone.  It imports no dataclasses either, which pulls in
+inspect, ast, dis and tokenize and takes several times as long to import as
+the rest of the module.  The other modules import these names from here;
+``core`` and ``analysis`` expose the public ones as their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AlphaOutOfRange, DimensionMismatch
 
@@ -78,10 +80,8 @@ def gm_is_column_monotone(alpha: float) -> bool:
     return alpha <= 0.5
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    strategy: str
-    rationale: str
+#: The strategy `select_strategy` picks, and why.
+SelectionResult = namedtuple("SelectionResult", ("strategy", "rationale"))
 
 
 def select_strategy(n: int, alpha: float, props) -> SelectionResult:

@@ -15,9 +15,9 @@ import csv
 
 import numpy as np
 
-from dpmech.core import _check_n
 from dpmech.errors import ParseError, UnknownColumn
 from dpmech.evaluate import GroupCounts
+from dpmech.strategy import _check_n
 
 
 def ingest_groups(csv_path, column: str, group_size: int,

@@ -37,7 +37,7 @@ from dpmech import (
     uniform_weights,
     write_mechanism_csv,
 )
-from dpmech.core import _check_d, _check_n, _check_reps, _sides
+from dpmech.core import _sides
 from dpmech.errors import (
     AlphaOutOfRange,
     ColumnSumError,
@@ -47,6 +47,7 @@ from dpmech.errors import (
     UndefinedForN0,
 )
 from dpmech.lp import build_lp, solve_lp
+from dpmech.strategy import _check_d, _check_n, _check_reps
 
 
 def brute_cell_costs(n, p, weights, d=0, rescale=False):

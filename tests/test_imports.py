@@ -101,6 +101,14 @@ def test_select_help_and_flag_errors_load_no_numpy(argv, code):
     assert "numpy" not in loaded
 
 
+def test_select_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize: most of what
+    # importing strategy would cost
+    code, loaded = _loaded_after(["select", "--n", "4", "--alpha", "0.5"])
+    assert code == 0
+    assert "dataclasses" not in loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--in", "{mech}"],
     ["export-heatmap", "--in", "{mech}", "--out", "{tmp}/heat.csv"],

@@ -184,14 +184,13 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, monkeypatch, text):
         ingest_groups(path, "flag", 1)
 
 
-# a bad row whose "\n" is byte 8194 and a bad byte at 8276; then a bad row
-# across byte 8196, 8 KiB past the header, and a bad byte after it
+# a bad row at the end of the text decoder's first 8 KiB chunk, and a bad
+# byte 20 rows later: the row's "\n" is byte 8194, or the row spans byte
+# 8196, 8 KiB past the header
 _NEAR_8K = b"c,b\n" + b"x,1\n" * 2046 + b"x,2222\n" + b"x,1\n" * 20 + b"x\xe9,1\n"
 _ACROSS_8K = b"c,b\n" + b"x,1\n" * 2047 + b"x,2222\n" + b"x,1\n" * 20 + b"\xe9,1\n"
 
-
-@pytest.mark.parametrize("block", [16, 64, 1 << 18])
-@pytest.mark.parametrize("text, message", [
+_FIRST_FAULTS = pytest.mark.parametrize("text, message", [
     (b"c,b\nx,1\nx,2222\nx,1\n\xe9,1\n", "line 3: expected a 0/1 bit, got '2222'"),
     (b"c,b\nx,1\n\xe9,1\nx,2222\n", "not valid UTF-8"),
     (b"c,b\nx,1\nx\xe9,2\n", "not valid UTF-8"),
@@ -200,15 +199,44 @@ _ACROSS_8K = b"c,b\n" + b"x,1\n" * 2047 + b"x,2222\n" + b"x,1\n" * 20 + b"\xe9,1
     (_ACROSS_8K, "line 2049: expected a 0/1 bit, got '2222'"),
 ], ids=["bad-row-first", "bad-byte-first", "both-in-one-row", "header", "near-8KiB",
         "across-8KiB"])
+
+
+@pytest.mark.parametrize("block", [16, 64, 1 << 18])
+@_FIRST_FAULTS
 def test_the_first_fault_in_file_order_is_reported(tmp_path, monkeypatch, block, text,
                                                    message):
-    # the strict decoder reads up to 8 KiB ahead of the rows, and the block
-    # size moves the byte where it starts
+    # the text decoder reads 8 KiB chunks ahead of the rows, and the block
+    # size moves the byte where the row loop starts
     monkeypatch.setattr(evaluate, "_BLOCK", block)
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         ingest_groups(path, "b", 1)
+
+
+def test_a_bad_byte_is_reported_before_a_later_csv_error_in_its_record(tmp_path):
+    # the quoted field passes the csv field size limit only after the line
+    # that holds the bad byte
+    path = tmp_path / "data.csv"
+    path.write_bytes(b'c,b\nx,"\n\xe9\n' + b"1" * 200_000 + b'"\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid UTF-8$"):
+        ingest_groups(path, "b", 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@_FIRST_FAULTS
+def test_a_pipe_reports_the_first_fault_in_file_order(tmp_path, text, message):
+    path = tmp_path / "data.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, daemon=True, args=(text,))
+    writer.start()
+    try:
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            ingest_groups(path, "b", 1)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("head, tail, line", [
