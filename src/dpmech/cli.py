@@ -2,9 +2,19 @@
 
 Subcommands: design, analyze, select, evaluate, export-heatmap.  Every
 command writes a single JSON document to stdout and keeps diagnostics on
-stderr, so output composes in pipelines.  Exit codes: 0 success, 1 solver
-failure, 2 flag/mechanism-file errors, 3 data errors (evaluate).  Every flag
-error exits 2 before a mechanism or data file is read or any file is written.
+stderr, so output composes in pipelines.  Exit codes:
+
+- 0: success.
+- 1: ``design`` accepted its inputs but the LP solve failed, or it cannot
+  write ``--out`` or ``--dump-lp``.
+- 2: a flag error; for ``design`` a weights file, and for ``analyze`` and
+  ``export-heatmap`` a mechanism file, that cannot be read or parsed; and an
+  ``export-heatmap --out`` that cannot be written.
+- 3: ``evaluate`` accepted its flags but cannot read or parse its ``--mech``
+  or ``--csv`` file, or cannot sample the mechanism on those groups.
+
+Every flag error exits 2 before a mechanism or data file is read or any
+file is written.
 
 Each subcommand imports only what it runs, so a process pays for nothing
 else: ``select``, ``--help`` and the flag errors found before a subcommand

@@ -8,10 +8,7 @@ independent of execution order and bit-reproducible across platforms.
 Draw rule: a group with true count c and uniform draw u in [0, 1) outputs
 the number of entries of column c's CDF (the cumulative sum over outputs,
 with negative entries clipped to 0) that are <= u, capped at n.  Each draw
-finds that number by bisection over the column, O(log n) per group.  On the
-committed benchmark digests (GM and EM, n in {10, 100, 400}, 8 seeds) the
-outputs are bit-identical to the earlier sampler, which compared all n+1
-CDF entries of every group.
+finds that number by bisection over the column, O(log n) per group.
 
 One draw serves every statistic: `empirical_l0d` (at any d) and
 `empirical_rmse` read each rep's histogram of signed errors (output minus
@@ -47,7 +44,7 @@ from .errors import (
     ParseError,
     UnknownColumn,
 )
-from .strategy import _check_d, _check_n, _check_reps
+from .strategy import _check_d, _check_n, _check_reps, _check_whole
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -70,12 +67,13 @@ def substream(seed: int, k: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class GroupCounts:
-    """True counts, one per group, each in [0, n]."""
+    """True counts, one per group, each in [0, n]; n is an integer >= 0."""
 
     n: int
     counts: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_whole(self.n, 0, "n must be an integer >= 0"))
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1:
             raise DimensionMismatch("counts must be a 1-D vector")
@@ -103,6 +101,12 @@ class EvalConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "reps", _check_reps(self.reps))
+        # mix64 reads a seed modulo 2**64, so a wider one would repeat another's draws
+        rule = "seed must be an integer in [0, 2**64)"
+        seed = _check_whole(self.seed, 0, rule)
+        if seed > _MASK64:
+            raise ValueError(f"{rule}, got {seed}")
+        object.__setattr__(self, "seed", seed)
         _check_d(self.d)
         if self.metric not in ("l0d", "rmse"):
             raise ValueError(f"metric must be 'l0d' or 'rmse', got {self.metric!r}")
@@ -386,22 +390,39 @@ def ingest_groups(csv_path, column: str, group_size: int,
 # empirical metrics
 # ---------------------------------------------------------------------------
 
-def _draws(mech: Mechanism, groups: GroupCounts, seed: int, reps: int, offset=0):
-    """Yield, for repetition r = 0, 1, ..., reps-1, a fresh int64 array of
-    each group's output plus offset (an int, or one int per group).
+#: the last draw's (weakref to mech, weakref to groups, seed, reps, histogram)
+_last_draw = None
+
+
+def _error_counts(mech: Mechanism, groups: GroupCounts, seed: int, reps: int) -> np.ndarray:
+    """Read-only (reps, 2n+1) int64 array whose row r counts the groups of
+    rep r by signed error: column e + n holds the groups with output - count == e.
 
     Row c of a table holds the first n entries of column c's CDF, then +inf
     up to a power of two, at least n+1 entries: so a group whose true count
     is c outputs the number of that row's entries <= u, which is at most n,
     as the draw rule's cap at n asks.  A branchless bisection over the row
     finds it in log2(width) gathers.
+
+    The last call's array is remembered and returned again for the same
+    mechanism and population objects (by identity), seed and reps.  Both
+    inputs are immutable, and the memo holds them only by weak reference.
     """
+    global _last_draw
+    # read once: another thread may replace the memo, and each entry is whole
+    last = _last_draw
+    if (last is not None and last[0]() is mech and last[1]() is groups
+            and last[2] == seed and last[3] == reps):
+        return last[4]
     if mech.n != groups.n:
         raise DimensionMismatch(
             f"mechanism size {mech.n} does not match group size {groups.n}")
     if groups.num_groups == 0:
         raise ValueError(f"no complete group of {groups.n} to evaluate")
     n = mech.n
+    hist = np.empty((reps, 2 * n + 1), np.int64)
+    # output - count + n indexes the histogram from 0
+    offset = n - groups.counts
     width = 1 << n.bit_length()
     table = np.empty((n + 1, width))
     cdf = table[:, :n]
@@ -429,32 +450,7 @@ def _draws(mech: Mechanism, groups: GroupCounts, seed: int, reps: int, offset=0)
             pos += np.multiply(hit, step, out=inc)
             step >>= 1
         pos += shift
-        yield pos
-
-
-#: the last draw's (weakref to mech, weakref to groups, seed, reps, histogram)
-_last_draw = None
-
-
-def _error_counts(mech: Mechanism, groups: GroupCounts, seed: int, reps: int) -> np.ndarray:
-    """Read-only (reps, 2n+1) int64 array whose row r counts the groups of
-    rep r by signed error: column e + n holds the groups with output - count == e.
-
-    The last call's array is remembered and returned again for the same
-    mechanism and population objects (by identity), seed and reps.  Both
-    inputs are immutable, and the memo holds them only by weak reference.
-    """
-    global _last_draw
-    # read once: another thread may replace the memo, and each entry is whole
-    last = _last_draw
-    if (last is not None and last[0]() is mech and last[1]() is groups
-            and last[2] == seed and last[3] == reps):
-        return last[4]
-    n = mech.n
-    hist = np.empty((reps, 2 * n + 1), np.int64)
-    # output - count + n indexes the histogram from 0
-    for r, bins in enumerate(_draws(mech, groups, seed, reps, n - groups.counts)):
-        hist[r] = np.bincount(bins, minlength=2 * n + 1)
+        hist[r] = np.bincount(pos, minlength=2 * n + 1)
     hist.setflags(write=False)
     _last_draw = (weakref.ref(mech), weakref.ref(groups), seed, reps, hist)
     return hist

@@ -69,8 +69,11 @@ class CooMatrix:
     shape: tuple[int, int]
 
     def __post_init__(self):
-        self.row = np.asarray(self.row, dtype=np.intp)
-        self.col = np.asarray(self.col, dtype=np.intp)
+        for name in ("row", "col"):
+            idx = np.asarray(getattr(self, name))
+            if not (idx.dtype.kind in "iu" or np.all(np.isfinite(idx) & (idx == np.trunc(idx)))):
+                raise ValueError(f"{name} indices must be whole numbers")
+            setattr(self, name, idx.astype(np.intp, copy=False))
         self.data = np.asarray(self.data, dtype=np.float64)
         self.shape = (int(self.shape[0]), int(self.shape[1]))
         if not (self.row.ndim == self.col.ndim == self.data.ndim == 1
@@ -126,7 +129,10 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
-        self.rel = np.asarray(self.rel, dtype=np.int8)
+        rel = np.asarray(self.rel)
+        if not np.all((rel == REL_LE) | (rel == REL_EQ) | (rel == REL_GE)):
+            raise ValueError("rel entries must be REL_LE, REL_EQ or REL_GE (-1, 0 or 1)")
+        self.rel = np.asarray(rel, dtype=np.int8)
         self.b = np.asarray(self.b, dtype=np.float64)
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)

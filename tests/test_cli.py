@@ -30,15 +30,23 @@ def test_design_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
     def unstable(problem):
         raise NumericalInstability("simplex point breaks a constraint by 1 (limit 1e-09)")
 
-    monkeypatch.setattr(lp, "solve_lp", unstable)
+    def infeasible(problem):
+        return lp.LpSolution(status=lp.STATUS_INFEASIBLE)
+
     out = tmp_path / "m.csv"
-    code = cli.main(["design", "--n", "6", "--alpha", "0.3", "--props", "WH,CM",
-                     "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_SOLVER
-    assert captured.out == ""
-    assert captured.err.startswith("dpmech: error: ")
-    assert not out.exists()
+    for solve, message in [
+        (unstable, "simplex point breaks a constraint"),
+        (infeasible, "design LP reported infeasible; the uniform mechanism is always feasible"),
+    ]:
+        monkeypatch.setattr(lp, "solve_lp", solve)
+        code = cli.main(["design", "--n", "6", "--alpha", "0.3", "--props", "WH,CM",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_SOLVER
+        assert captured.out == ""
+        assert captured.err.startswith("dpmech: error: ")
+        assert message in captured.err
+        assert not out.exists()
 
 
 def test_design_rejects_retired_property_alias(tmp_path, capsys):
@@ -229,6 +237,7 @@ def test_design_tail_offset_without_l0d_exits_2(tmp_path, capsys, objective):
     ("binomial", ["--group-size", "2", "--p", "-0.1"]),
     ("binomial", ["--group-size", "2", "--reps", "0"]),
     ("csv", ["--group-size", "0"]),
+    ("binomial", ["--group-size", "2", "--seed", "-1"]),
 ])
 def test_evaluate_bad_flag_exits_2(tmp_path, capsys, data, flags):
     mech = tmp_path / "m.csv"

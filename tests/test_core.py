@@ -244,6 +244,8 @@ class TestObjectiveValue:
             objective_value(uniform(3), l0_objective(2))
         with pytest.raises(DimensionMismatch):
             objective_value(uniform(2), Objective(p=1, weights=uniform_weights(2), d=5))
+        with pytest.raises(DimensionMismatch, match="weights must be a 1-D vector"):
+            Objective(p=1, weights=np.full((2, 2), 0.25))
 
     def test_p0_objective_is_undefined_for_n0(self):
         with pytest.raises(UndefinedForN0):

@@ -131,6 +131,23 @@ class TestInputRules:
         with pytest.raises(ValueError, match=re.escape("counts must lie in [0, 2]")):
             GroupCounts(n=2, counts=np.array([0, count]))
 
+    @pytest.mark.parametrize("n", [-3, 2.5, np.inf])
+    def test_group_size_is_an_integer_at_least_0(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {n}")):
+            GroupCounts(n=n, counts=[])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, np.nan])
+    def test_eval_config_seed_is_an_integer_below_2_64(self, seed):
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer in [0, 2**64)")):
+            EvalConfig(seed=seed)
+
+    def test_whole_float_sizes_and_seeds_are_kept_as_integers(self):
+        groups = GroupCounts(n=2.0, counts=[0, 2])
+        assert groups.n == 2 and isinstance(groups.n, int)
+        cfg = EvalConfig(seed=3.0)
+        assert cfg.seed == 3 and isinstance(cfg.seed, int)
+        assert EvalConfig(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_eval_config_metric_is_l0d_or_rmse(self):
         with pytest.raises(ValueError, match="metric must be 'l0d' or 'rmse', got 'mse'"):
             EvalConfig(metric="mse")
@@ -191,12 +208,6 @@ class TestEmpiricalMetrics:
         assert result.mean == 0.0 and result.std_error == 0.0
 
 
-def _sampled_outputs(mech, counts, reps=3, seed=5):
-    """The outputs of every draw, one array per rep."""
-    groups = GroupCounts(n=mech.n, counts=counts)
-    return list(evaluate._draws(mech, groups, seed, reps))
-
-
 def _dense_outputs(matrix, counts, draws):
     """Oracle: compare every CDF entry of the group's column with its draw."""
     n = matrix.shape[0] - 1
@@ -240,18 +251,22 @@ class TestSampler:
             "random-1": _random_mechanism(n, 1),
             "random-2": _random_mechanism(n, 2),
         }
+        draws = [evaluate.substream(5, r).random(size) for r in range(3)]
         for mech_name, mech in mechs.items():
             for count_name, counts in count_sets.items():
-                draws = [evaluate.substream(5, r).random(size) for r in range(3)]
-                got = _sampled_outputs(mech, counts)
+                got = evaluate._error_counts(mech, GroupCounts(n=n, counts=counts), 5, 3)
                 want = _dense_outputs(mech.matrix, counts, draws)
                 for r in range(3):
-                    assert got[r].dtype == np.int64
-                    assert np.array_equal(got[r], want[r]), (mech_name, count_name, r)
+                    hist = np.bincount(want[r] - counts + n, minlength=2 * n + 1)
+                    assert np.array_equal(got[r], hist), (mech_name, count_name, r)
 
-    def _with_draws(self, monkeypatch, mech, counts, values):
-        monkeypatch.setattr(evaluate, "substream", lambda seed, k: _FixedDraws(values))
-        return _sampled_outputs(mech, np.asarray(counts), reps=1)[0]
+    def _output(self, monkeypatch, mech, count, u):
+        """The output of a population of one group, of true count `count`,
+        whose draw is u."""
+        monkeypatch.setattr(evaluate, "substream", lambda seed, k: _FixedDraws([u]))
+        hist = evaluate._error_counts(mech, GroupCounts(n=mech.n, counts=[count]), 0, 1)
+        (error,) = np.flatnonzero(hist[0])
+        return count + int(error) - mech.n
 
     def test_ties_and_edges(self, monkeypatch):
         # columns: CDFs (1/4, 1/2, 1, 1), (0, 1/2, 3/4, 1), (0, 0, 0, 1) and
@@ -270,12 +285,11 @@ class TestSampler:
             (2, 0.0, 3), (2, 0.5, 3), (2, top, 3),
             (3, 0.0, 0), (3, 0.5, 1), (3, 1.0 - short, 3), (3, top, 3),
         ]
-        counts = [c for c, _, _ in cases]
-        values = [u for _, u, _ in cases]
-        got = self._with_draws(monkeypatch, mech, counts, values)
-        assert got.tolist() == [want for _, _, want in cases]
-        oracle = _dense_outputs(matrix, np.asarray(counts), [np.asarray(values)])[0]
-        assert np.array_equal(got, oracle)
+        got = [self._output(monkeypatch, mech, c, u) for c, u, _ in cases]
+        assert got == [want for _, _, want in cases]
+        counts = np.array([c for c, _, _ in cases])
+        values = np.array([u for _, u, _ in cases])
+        assert got == _dense_outputs(matrix, counts, [values])[0].tolist()
 
     def test_negative_entry_is_clipped(self, monkeypatch):
         tiny = 5e-10
@@ -285,10 +299,10 @@ class TestSampler:
         mech = new_mechanism(2, matrix)
         values = np.array([0.0, 0.5, 0.5 + tiny, 0.75, np.nextafter(1.0, 0.0)] * 3)
         counts = np.repeat([0, 1, 2], 5)
-        got = self._with_draws(monkeypatch, mech, counts, values)
-        assert got.min() >= 0 and got.max() <= 2
+        got = [self._output(monkeypatch, mech, c, u) for c, u in zip(counts, values)]
+        assert min(got) >= 0 and max(got) <= 2
         clipped = _dense_outputs(np.maximum(matrix, 0.0), counts, [values])[0]
-        assert np.array_equal(got, clipped)
+        assert got == clipped.tolist()
 
     def test_peak_memory_is_the_cdf_table(self):
         # at n=400 the table is 401 x 512 floats, 1.28 (n+1)^2 arrays; the
@@ -297,6 +311,41 @@ class TestSampler:
         counts = np.random.default_rng(4).binomial(400, 0.5, size=1000)
         groups = GroupCounts(n=400, counts=counts)
         assert peak_arrays(lambda: evaluate._error_counts(mech, groups, 1, 3), 400) <= 1.5
+
+
+class TestExactExpectation:
+    """Over fixed seeds, each sampled mean lies within 5 standard errors of
+    its exact value under the population: sum_c k_c sum_i w(i-c) P[i,c] / G
+    for k_c groups of true count c out of G, where w is the error weight."""
+
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_sampled_means_match_the_exact_ones(self, n):
+        mechs = {"gm": geometric(n, 0.9), "em": explicit_fair(n, 0.9),
+                 "uniform": uniform(n), "random": _random_mechanism(n, 3)}
+        error = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))  # i - c
+        weights = {"l0": np.abs(error) > 0, "l0 at d=2": np.abs(error) > 2,
+                   "squared error": error ** 2.0}
+        reps = 20
+        for seed in (1, 2, 3):
+            groups = binomial_population(
+                1000 * n, n, 0.3, evaluate.substream(seed, evaluate.DATA_STREAM))
+            k = np.bincount(groups.counts, minlength=n + 1)
+            for name, mech in mechs.items():
+                rmse = empirical_rmse(mech, groups,
+                                      EvalConfig(reps=reps, seed=seed, metric="rmse"))
+                sampled = {
+                    "l0": empirical_l0d(mech, groups, EvalConfig(reps=reps, seed=seed)).mean,
+                    "l0 at d=2": empirical_l0d(mech, groups,
+                                               EvalConfig(reps=reps, seed=seed, d=2)).mean,
+                    "squared error": np.mean(np.square(rmse.per_rep)),
+                }
+                for stat, w in weights.items():
+                    # one group of true count c: its weight's mean and variance
+                    mean = (w * mech.matrix).sum(axis=0)
+                    var = (w ** 2 * mech.matrix).sum(axis=0) - mean ** 2
+                    exact = k @ mean / groups.num_groups
+                    std_error = np.sqrt(k @ var / reps) / groups.num_groups
+                    assert abs(sampled[stat] - exact) <= 5 * std_error, (name, seed, stat)
 
 
 def _mechanism_near_the_floor(rng, n):

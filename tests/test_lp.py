@@ -196,10 +196,13 @@ class TestLinearProgramInput:
         with pytest.raises(ValueError, match="one length"):
             _lp_with([0, 1], [0, 1], [1.0], (2, 2))
 
-    @pytest.mark.parametrize("row, col", [([0, 2], [0, 1]), ([0, 1], [-1, 1])],
-                             ids=["row-past-end", "negative-col"])
-    def test_index_must_be_in_range(self, row, col):
-        with pytest.raises(ValueError, match="out of range"):
+    @pytest.mark.parametrize("row, col, message", [
+        ([0, 2], [0, 1], "out of range"),
+        ([0, 1], [-1, 1], "out of range"),
+        ([0.7, 1], [0, 1], "row indices must be whole numbers"),
+    ], ids=["row-past-end", "negative-col", "fractional-row"])
+    def test_index_must_be_in_range(self, row, col, message):
+        with pytest.raises(ValueError, match=message):
             _lp_with(row, col, [1.0, 1.0], (2, 2))
 
     def test_pair_must_not_repeat(self):
@@ -222,7 +225,8 @@ class TestLinearProgramInput:
         ("lo", np.zeros(3), "bound arrays disagree with variable count"),
         ("hi", np.ones(1), "bound arrays disagree with variable count"),
         ("lo", [0.0, 2.0], "lower bound exceeds upper bound"),
-    ], ids=["rel", "lo", "hi", "lo-above-hi"])
+        ("rel", [5, REL_GE], "rel entries must be REL_LE, REL_EQ or REL_GE"),
+    ], ids=["rel", "lo", "hi", "lo-above-hi", "unknown-rel"])
     def test_rows_and_bounds_must_fit(self, field, value, message):
         fields = dict(c=np.ones(2), a=coo(np.eye(2)), rel=[REL_GE, REL_GE], b=np.zeros(2),
                       lo=np.zeros(2), hi=np.ones(2))
@@ -314,6 +318,10 @@ class TestSolveLp:
     def test_unbounded(self):
         sol = solve_lp(_mk([-1.0], np.zeros((0, 1)), [], []))
         assert sol.status == STATUS_UNBOUNDED
+
+    def test_infinite_lower_bound_is_refused(self):
+        with pytest.raises(ValueError, match="solve_lp requires finite lower bounds"):
+            solve_lp(_mk([1.0], [[1.0]], [REL_GE], [0.0], lo=[-np.inf]))
 
     def test_basicdp_n2_recovers_geometric(self):
         lp = build_lp(2, 0.5, frozenset(), l0_objective(2))
