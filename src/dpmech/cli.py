@@ -32,7 +32,7 @@ import json
 import sys
 
 from .errors import AlphaOutOfRange, DpMechError, LpInternalError, NumericalInstability
-from .strategy import PROPERTIES, _check_alpha, _check_n, select_strategy
+from .strategy import PROPERTIES, _check_alpha, _check_d, _check_n, select_strategy
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -178,7 +178,7 @@ def _cmd_evaluate(args) -> int:
     try:
         cfg = evaluate.EvalConfig(reps=args.reps, seed=args.seed, d=args.d,
                                   metric=args.metric)
-        _check_n(args.group_size)
+        _check_d(cfg.d, _check_n(args.group_size))
         if args.data == "binomial":
             rng = evaluate.substream(args.seed, evaluate.DATA_STREAM)
             groups = evaluate.binomial_population(args.total, args.group_size,

@@ -37,6 +37,15 @@ TOL = 1e-9
 _EQUALITIES = ("F", "S")
 
 
+def _whole_array(values, dtype, rule: str) -> np.ndarray:
+    """values as a dtype array; raise ValueError(rule) unless every entry is a
+    whole number, which inf and NaN are not."""
+    arr = np.asarray(values)
+    if not (arr.dtype.kind in "iu" or np.all(np.isfinite(arr) & (arr == np.trunc(arr)))):
+        raise ValueError(rule)
+    return arr.astype(dtype, copy=False)
+
+
 class Mechanism:
     """Validated, immutable column-stochastic mechanism matrix."""
 
@@ -99,12 +108,11 @@ def _sides(g: np.ndarray, prop: str):
     through maxima and masks instead.  ``build_lp`` gathers the kept pairs
     from the views, position by position in row-major order and piece by
     piece at one position; that is its row order, which keeps the two
-    privacy directions of an adjacent pair next to each other.  Several
-    pieces either keep every pair (DP) or split the positions between them
-    (RM).  RH compares the diagonal with its whole row, and drops the pair
-    on the diagonal.  RH, RM, CH and CM hold when lhs >= rhs, F and S when
-    lhs == rhs, and "DP" (row-adjacent entries, both ways round) when
-    lhs >= alpha*rhs.  WH bounds the diagonal and has no sides.
+    privacy directions of an adjacent pair next to each other.  RH compares
+    the diagonal with its whole row, and drops the pair on the diagonal.
+    RH, RM, CH and CM hold when lhs >= rhs, F and S when lhs == rhs, and
+    "DP" (row-adjacent entries, both ways round) when lhs >= alpha*rhs.  WH
+    bounds the diagonal and has no sides.
     """
     if prop == "DP":
         return (g[:, :-1], g[:, 1:], None), (g[:, 1:], g[:, :-1], None)

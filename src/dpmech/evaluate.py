@@ -18,26 +18,29 @@ population are the same objects, not merely equal ones; any other call draws
 again and replaces the remembered one.  The memo holds reps x (2n+1) counts
 and only weak references to its inputs, so it keeps no caller's object alive.
 
-CSV ingest (`ingest_groups`) scans 256 KiB blocks of whole lines with numpy
-while every line is plain (valid UTF-8, no quote, NUL or lone CR, shorter
-than the csv field size limit) with a non-blank target cell of at most 8
-bytes that passes its check; a csv.reader row loop reads the rest of the
-file from the first block the scan declines.  Each distinct non-blank cell
-text is evaluated once, up to 65,536 cells, so a predicate must be a pure
-function of the cell's text.  Memory is one block plus one byte per row.
+CSV ingest (`ingest_groups`) reads a file or a pipe alike, once and in
+order.  It scans 256 KiB blocks of whole lines with numpy while every line
+is plain (valid UTF-8, no quote, NUL or lone CR, shorter than the csv field
+size limit) with a non-blank target cell of at most 8 bytes that passes its
+check; a csv.reader row loop reads the rest from the first block the scan
+declines.  Each distinct non-blank cell text is evaluated once, up to 65,536
+cells, so a predicate must be a pure function of the cell's text.  Memory
+is one block plus one byte per row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Mechanism
+from .core import Mechanism, _whole_array
 from .errors import (
     BadProbability,
     DimensionMismatch,
@@ -74,7 +77,7 @@ class GroupCounts:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_whole(self.n, 0, "n must be an integer >= 0"))
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _whole_array(self.counts, np.int64, "counts must be whole numbers")
         if counts.ndim != 1:
             raise DimensionMismatch("counts must be a 1-D vector")
         if counts.size and (counts.min() < 0 or counts.max() > self.n):
@@ -131,14 +134,15 @@ def binomial_population(total: int, n: int, p: float,
                         rng: np.random.Generator) -> GroupCounts:
     """Split `total` individuals into groups of n with i.i.d. Bernoulli(p) bits.
 
-    n must be an integer in [1, total]; leftover individuals are dropped.
+    total must be a whole number and n an integer in [1, total]; leftover
+    individuals are dropped.
     """
     if not 0.0 <= p <= 1.0:
         raise BadProbability(f"p must lie in [0, 1], got {p}")
     n = _check_n(n)
     if total < n:
         raise ValueError(f"need total >= n, got total={total}, n={n}")
-    groups = total // n
+    groups = _check_whole(total, n, "total must be a whole number") // n
     return GroupCounts(n=n, counts=rng.binomial(n, p, size=groups))
 
 
@@ -281,16 +285,17 @@ def ingest_groups(csv_path, column: str, group_size: int,
     file order; a trailing incomplete group is dropped.  Rows whose cells are
     all blank are skipped.  The file is UTF-8, with or without a byte-order
     mark.  Errors raise ParseError naming the record's line number (the
-    header is line 1), or that the file is not valid UTF-8.  A file or a
-    pipe reports the first of these in file order: every record before the
-    first line that holds a byte that is not UTF-8 is checked first.
+    header is line 1), or that the file is not valid UTF-8, whichever comes
+    first in the file: every record before the first line that holds a byte
+    that is not UTF-8 is checked first.
 
-    numpy scans the file in 256 KiB blocks of whole lines while every line
-    is plain (valid UTF-8, no quote, NUL or lone '\\r', shorter than the csv
-    field size limit) and has a non-blank target cell of at most 8 bytes
-    that passes its check.  From the first block the scan declines, the
-    csv.reader row loop reads the rest with the bits, memo and line count so
-    far, and raises any error.  Memory is one block plus one byte per row.
+    A file and a pipe are read alike, once and in order.  numpy scans 256 KiB
+    blocks of whole lines while every line is plain (valid UTF-8, no quote,
+    NUL or lone '\\r', shorter than the csv field size limit) and has a
+    non-blank target cell of at most 8 bytes that passes its check.  From
+    the first block the scan declines, the csv.reader row loop reads the
+    rest with the bits, memo and line count so far, and raises any error.
+    Memory is one block plus one byte per row.
 
     The predicate must be a pure function of the cell's text: it is called
     once per distinct non-blank cell, and every later row holding the same
@@ -325,17 +330,15 @@ def ingest_groups(csv_path, column: str, group_size: int,
         return bit
 
     with open(csv_path, "rb") as fh:
-        # the block scan seeks to each block's start, so a pipe goes to the row loop
-        head = fh.readline(_BLOCK) if fh.seekable() else b""
-        offset = 0
-        if head.endswith(b"\n") and len(head) < csv.field_size_limit() and _plain(head):
-            col = _column_of(next(csv.reader([head.decode("utf-8-sig")])), csv_path, column)
-            offset = len(head)
+        # bytes read but not yet scanned: the unparsed header, then a block's partial last line
+        rest = fh.readline(_BLOCK)
+        if rest.endswith(b"\n") and len(rest) < csv.field_size_limit() and _plain(rest):
+            col = _column_of(next(csv.reader([rest.decode("utf-8-sig")])), csv_path, column)
+            rest = b""
         while col is not None:
-            fh.seek(offset)
-            buf = fh.read(_BLOCK)
-            buf = buf[:buf.rfind(b"\n") + 1]
-            found = _block_cells(buf, col)
+            rest += fh.read(_BLOCK)
+            cut = rest.rfind(b"\n") + 1
+            found = _block_cells(rest[:cut], col)
             if found is None:
                 break
             cells, inverse = found
@@ -345,14 +348,23 @@ def ingest_groups(csv_path, column: str, group_size: int,
             if None in known:
                 break
             bits += memoryview(np.array(known, np.uint8)[inverse])
-            offset += len(buf)
-        if fh.seekable():
-            fh.seek(offset)
-        encoding = "utf-8" if offset else "utf-8-sig"
-        # bound here so that it outlives the generator, which drops it when it
-        # raises: freed while fh is open, it would close fh with a ResourceWarning
-        text = io.TextIOWrapper(fh, encoding, "surrogateescape", newline="")
-        reader = csv.reader(_utf8_lines(text))
+            rest = rest[cut:]
+        # the row loop reads rest, then fh, so rest must end where the text
+        # wrapper ends a line: at a '\n', at a '\r' not before one, or at the end
+        # of fh.  A file whose lines end in '\r' may hold no '\n' to read up to
+        while rest and not rest.endswith(b"\n"):
+            ahead = fh.peek()
+            if not ahead or rest.endswith(b"\r"):
+                rest += fh.read(1) if ahead[:1] == b"\n" else b""
+                break
+            end = re.search(rb"[\r\n]", ahead)
+            rest += fh.read(end.end() if end else len(ahead))
+        # both bound here to outlive the generator, which drops them when it
+        # raises: freed while fh is open, text would close fh with a ResourceWarning
+        held = io.TextIOWrapper(io.BytesIO(rest), "utf-8-sig" if col is None else "utf-8",
+                                "surrogateescape", newline="")
+        text = io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")
+        reader = csv.reader(_utf8_lines(itertools.chain(held, text)))
         try:
             if col is None:
                 col = _column_of(next(reader, None), csv_path, column)
@@ -465,6 +477,7 @@ def _result(per_rep: list) -> EvalResult:
 def empirical_l0d(mech: Mechanism, groups: GroupCounts, cfg: EvalConfig) -> EvalResult:
     """Per repetition: fraction of groups whose output differs from the true
     count by strictly more than cfg.d (d=0 is the plain wrong-answer rate)."""
+    _check_d(cfg.d, mech.n)
     hist = _error_counts(mech, groups, cfg.seed, cfg.reps)
     far = np.abs(np.arange(-mech.n, mech.n + 1)) > cfg.d
     total = groups.num_groups

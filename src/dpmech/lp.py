@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _EQUALITIES, TOL, Mechanism, Objective, _sides, cell_costs
+from .core import _EQUALITIES, TOL, Mechanism, Objective, _sides, _whole_array, cell_costs
 from .errors import LpInternalError, NumericalInstability
 from .strategy import PROPERTIES, _check_alpha, _check_n, _check_props
 
@@ -70,10 +70,8 @@ class CooMatrix:
 
     def __post_init__(self):
         for name in ("row", "col"):
-            idx = np.asarray(getattr(self, name))
-            if not (idx.dtype.kind in "iu" or np.all(np.isfinite(idx) & (idx == np.trunc(idx)))):
-                raise ValueError(f"{name} indices must be whole numbers")
-            setattr(self, name, idx.astype(np.intp, copy=False))
+            setattr(self, name, _whole_array(getattr(self, name), np.intp,
+                                             f"{name} indices must be whole numbers"))
         self.data = np.asarray(self.data, dtype=np.float64)
         self.shape = (int(self.shape[0]), int(self.shape[1]))
         if not (self.row.ndim == self.col.ndim == self.data.ndim == 1
@@ -207,6 +205,11 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 # mechanism LP construction
 # ---------------------------------------------------------------------------
 
+def _stack_last(arrays) -> np.ndarray:
+    """np.stack(arrays, -1), at about half its per-call cost on small arrays."""
+    return np.concatenate([a[..., None] for a in arrays], -1)
+
+
 def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     """LP whose optimum is a minimal-cost private mechanism with the given properties."""
     alpha = _check_alpha(alpha)
@@ -224,12 +227,8 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
             blocks.append((np.diagonal(cells), None, 0.0, REL_GE, 1.0 / size))
         elif prop == "DP" or prop in props:
             lhs, rhs, keeps = zip(*_sides(cells, prop))
-            if keeps[0] is None:
-                p, q = np.stack(lhs, -1), np.stack(rhs, -1)
-            elif len(keeps) == 1:
-                p, q = lhs[0][keeps[0]], rhs[0][keeps[0]]
-            else:
-                p, q = np.where(keeps[0], *lhs), np.where(keeps[0], *rhs)
+            keep = _stack_last([np.ones(lhs[0].shape, bool) if k is None else k for k in keeps])
+            p, q = _stack_last(lhs)[keep], _stack_last(rhs)[keep]
             blocks.append((p, q, alpha if prop == "DP" else 1.0,
                            REL_EQ if prop in _EQUALITIES else REL_GE, 0.0))
 

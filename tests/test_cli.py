@@ -441,3 +441,14 @@ def test_evaluate_tail_offset_with_rmse_exits_2_before_reading(tmp_path, capsys,
                      "--group-size", "2", "--metric", "rmse", "--d", "2"])
     assert code == cli.EXIT_FLAGS
     assert "d applies only to the l0d metric" in _error_only(capsys)
+
+
+@pytest.mark.parametrize("data", ["binomial", "csv"])
+def test_evaluate_tail_offset_past_the_group_size_exits_2_before_reading(tmp_path, capsys,
+                                                                         monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["evaluate", "--mech", "missing.csv", "--data", data, "--csv",
+                     "missing-people.csv", "--predicate", "bit", "--group-size", "2",
+                     "--d", "7"])
+    assert code == cli.EXIT_FLAGS
+    assert "tail offset d=7 exceeds group size n=2" in _error_only(capsys)

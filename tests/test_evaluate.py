@@ -122,6 +122,12 @@ class TestInputRules:
         with pytest.raises(ValueError, match="need total >= n, got total=3, n=4"):
             binomial_population(3, 4, 0.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("total", [10.5, np.nan, np.inf])
+    def test_binomial_population_total_is_a_whole_number(self, total):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"total must be a whole number, got {total}")):
+            binomial_population(total, 4, 0.5, np.random.default_rng(0))
+
     def test_group_counts_are_a_vector(self):
         with pytest.raises(DimensionMismatch, match="1-D"):
             GroupCounts(n=2, counts=np.zeros((2, 2)))
@@ -130,6 +136,12 @@ class TestInputRules:
     def test_group_counts_lie_in_0_to_n(self, count):
         with pytest.raises(ValueError, match=re.escape("counts must lie in [0, 2]")):
             GroupCounts(n=2, counts=np.array([0, count]))
+
+    @pytest.mark.parametrize("counts", [[1.5, 0.7], [0, np.nan]])
+    def test_group_counts_are_whole_numbers(self, counts):
+        # a cast to int64 would read [1.5, 0.7] as [1, 0]
+        with pytest.raises(ValueError, match="counts must be whole numbers"):
+            GroupCounts(n=2, counts=counts)
 
     @pytest.mark.parametrize("n", [-3, 2.5, np.inf])
     def test_group_size_is_an_integer_at_least_0(self, n):
@@ -199,6 +211,13 @@ class TestEmpiricalMetrics:
         groups = GroupCounts(n=2, counts=np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="d applies only to the l0d metric, not rmse"):
             empirical_rmse(geometric(2, 0.5), groups, EvalConfig(d=1))
+
+    def test_l0d_tail_offset_is_at_most_n(self):
+        # as in core.l0d_score: an offset past n would count no group as far
+        groups = GroupCounts(n=2, counts=np.array([0, 1, 2]))
+        with pytest.raises(DimensionMismatch, match="tail offset d=3 exceeds group size n=2"):
+            empirical_l0d(geometric(2, 0.5), groups, EvalConfig(d=3))
+        assert empirical_l0d(geometric(2, 0.5), groups, EvalConfig(d=2)).mean == 0.0
 
     @pytest.mark.parametrize("metric", [empirical_l0d, empirical_rmse])
     def test_identity_mechanism_scores_zero(self, metric):
@@ -375,7 +394,7 @@ class TestOneDraw:
         mech = _mechanism_near_the_floor(rng, n)
         groups = GroupCounts(n=n, counts=rng.integers(0, n + 1, size=size))
         calls = data.draw(st.lists(
-            st.tuples(st.sampled_from(["l0d", "rmse"]), st.integers(0, n + 1), st.booleans()),
+            st.tuples(st.sampled_from(["l0d", "rmse"]), st.integers(0, n), st.booleans()),
             min_size=1, max_size=6))
         for metric, d, fresh in calls:
             if fresh:

@@ -2,9 +2,11 @@
 hand-offs, the one-call-per-distinct-cell contract, line numbers, byte-order
 marks, pipes and csv errors."""
 
+import contextlib
 import os
 import re
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -153,22 +155,59 @@ def test_utf8_bom_is_skipped(tmp_path):
     _, pred = parse_predicate("age>=65")
     assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
     assert ingest_groups(path, "flag", 2).counts.tolist() == [1]
+    # a quoted header goes to the row loop, which skips the mark too
+    path.write_bytes(b'\xef\xbb\xbf"age",flag\n70,1\n20,0\n')
+    assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
+
+
+def test_lone_cr_line_ends_are_read_in_bounded_memory(tmp_path):
+    # no line of a 4 MB file ends in '\n', so no block holds a whole line:
+    # the row loop takes the file from its header, a line at a time
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"pad,flag\r" + (b"x" * 98 + b",1\r") * 40_000)
+    tracemalloc.start()
+    try:
+        assert ingest_groups(path, "flag", 1000).counts.tolist() == [1000] * 40
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * evaluate._BLOCK
+
+
+@contextlib.contextmanager
+def _fifo(tmp_path, data):
+    """A named pipe that a thread fills with data while the caller reads it."""
+    path = tmp_path / "data.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, daemon=True, args=(data,))
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=10)
+        path.unlink()
+    assert not writer.is_alive()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_a_pipe_is_read_by_the_row_loop(tmp_path):
-    path = tmp_path / "data.fifo"
-    os.mkfifo(path)
-    writer = threading.Thread(target=path.write_bytes, daemon=True,
-                              args=(b"\xef\xbb\xbfage,flag\n70,1\n20,0\n",))
-    writer.start()
-    try:
-        # the byte-order mark is not part of the first column's name
-        _, pred = parse_predicate("age>=65")
-        assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+@pytest.mark.parametrize("block", [16, 64])
+def test_a_pipe_is_scanned_in_the_blocks_of_a_file(tmp_path, monkeypatch, block):
+    # the block scan takes the plain rows, and the quoted one near the end
+    # goes to the row loop; the byte-order mark is not part of a column name
+    text = b"\xef\xbb\xbfage,flag\n" + b"70,1\n20,0\n" * 20 + b'"81",1\n' + b"20,0\n" * 3
+    monkeypatch.setattr(evaluate, "_BLOCK", block)
+    block_cells, scanned = evaluate._block_cells, []
+    monkeypatch.setattr(evaluate, "_block_cells",
+                        lambda buf, col: scanned.append(buf) or block_cells(buf, col))
+    _, pred = parse_predicate("age>=65")
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    assert ingest_groups(path, "age", 2, predicate=pred).counts.tolist() == [1] * 21 + [0]
+    from_file = scanned.copy()
+    scanned.clear()
+    with _fifo(tmp_path, text) as fifo:
+        assert ingest_groups(fifo, "age", 2, predicate=pred).counts.tolist() == [1] * 21 + [0]
+    assert scanned == from_file and len(scanned) > 2
 
 
 @pytest.mark.parametrize("text", [
@@ -225,18 +264,13 @@ def test_a_bad_byte_is_reported_before_a_later_csv_error_in_its_record(tmp_path)
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @_FIRST_FAULTS
-def test_a_pipe_reports_the_first_fault_in_file_order(tmp_path, text, message):
-    path = tmp_path / "data.fifo"
-    os.mkfifo(path)
-    writer = threading.Thread(target=path.write_bytes, daemon=True, args=(text,))
-    writer.start()
-    try:
-        with pytest.raises(ParseError,
-                           match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+def test_a_pipe_reports_the_first_fault_in_file_order(tmp_path, monkeypatch, text, message):
+    # the file test's block sizes, in a loop so that the ids name the faults alone
+    for block in (16, 64, 1 << 18):
+        monkeypatch.setattr(evaluate, "_BLOCK", block)
+        with _fifo(tmp_path, text) as path, pytest.raises(
+                ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             ingest_groups(path, "b", 1)
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("head, tail, line", [
