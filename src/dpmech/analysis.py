@@ -1,9 +1,8 @@
 """The derivability check, ``dp_alpha_max`` and whole-mechanism property
 reports.
 
-The closed-form threshold tests and the strategy choice (``select_strategy``
-and its ``USE_*``/``SOLVE_LP_*`` names) are defined in ``strategy``, which
-needs no numpy, and are exposed here too."""
+The closed-form threshold tests and the strategy choice are defined in
+``strategy``, which needs no numpy; ``select_strategy`` is exposed here too."""
 
 from __future__ import annotations
 
@@ -12,18 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TOL, Mechanism, _flags, _sides, _tail_costs, is_dp
-from .strategy import (
-    PROPERTIES,
-    SOLVE_LP_WH,
-    SOLVE_LP_WH_CM,
-    USE_EM,
-    USE_GM,
-    SelectionResult,
-    _check_alpha,
-    gm_is_column_monotone,
-    gm_weak_honesty_threshold,
-    select_strategy,
-)
+from .strategy import PROPERTIES, _check_alpha, select_strategy
 
 #: Fixed grid used for dp_alpha_max: 0.001, 0.002, ..., 1.000.
 DP_ALPHA_GRID_STEPS = 1000

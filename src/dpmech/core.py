@@ -22,13 +22,7 @@ from .errors import (
     ParseError,
     UndefinedForN0,
 )
-from .strategy import (
-    PROPERTIES,
-    _check_alpha,
-    _check_d,
-    _check_props,
-    _check_whole,
-)
+from .strategy import _check_alpha, _check_d, _check_props, _check_whole
 
 #: Additive slack of every validation and predicate check.
 TOL = 1e-9

@@ -70,7 +70,11 @@ def substream(seed: int, k: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class GroupCounts:
-    """True counts, one per group, each in [0, n]; n is an integer >= 0."""
+    """True counts, one per group, each in [0, n]; n is an integer >= 0.
+
+    ``counts`` is kept read-only.  A read-only array is kept as it is; a
+    writable one is copied first, so the caller can still write to its own.
+    """
 
     n: int
     counts: np.ndarray
@@ -82,7 +86,9 @@ class GroupCounts:
             raise DimensionMismatch("counts must be a 1-D vector")
         if counts.size and (counts.min() < 0 or counts.max() > self.n):
             raise ValueError(f"counts must lie in [0, {self.n}]")
-        counts.setflags(write=False)
+        if counts.flags.writeable:
+            counts = counts.copy()
+            counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -143,7 +149,9 @@ def binomial_population(total: int, n: int, p: float,
     if total < n:
         raise ValueError(f"need total >= n, got total={total}, n={n}")
     groups = _check_whole(total, n, "total must be a whole number") // n
-    return GroupCounts(n=n, counts=rng.binomial(n, p, size=groups))
+    counts = rng.binomial(n, p, size=groups)
+    counts.setflags(write=False)  # handed over, so GroupCounts need not copy it
+    return GroupCounts(n=n, counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +402,9 @@ def ingest_groups(csv_path, column: str, group_size: int,
             raise ParseError(f"{csv_path}: not valid UTF-8") from None
     groups = len(bits) // group_size
     arr = np.frombuffer(bits, np.uint8)[:groups * group_size]
-    return GroupCounts(n=group_size,
-                       counts=arr.reshape(groups, group_size).sum(axis=1, dtype=np.int64))
+    counts = arr.reshape(groups, group_size).sum(axis=1, dtype=np.int64)
+    counts.setflags(write=False)  # handed over, so GroupCounts need not copy it
+    return GroupCounts(n=group_size, counts=counts)
 
 
 # ---------------------------------------------------------------------------

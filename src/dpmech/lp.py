@@ -11,21 +11,20 @@ LP has 82,689 nonzeros in a 33,153 x 16,641 matrix.
 ``solve_lp`` hands the LP, as compressed columns, to the compiled HiGHS
 binding that ships inside scipy (``scipy.optimize._highspy._core``).  The
 binding is loaded once, on the first solve, straight from its file, so a
-process that designs a mechanism never imports ``scipy.optimize``, nor
-``scipy.sparse`` unless the dual fallback below runs.  The binding is
-registered under its own dotted name, which a later ``import
-scipy.optimize`` then reuses.  Without the file it falls back to the
-ordinary import.  HiGHS runs its simplex on one thread with a fixed random
-seed, primal and dual feasibility tolerances of 1e-10 and no output, so an
-LP gives the same answer bit for bit in every process.
+process that designs a mechanism imports neither ``scipy.optimize`` nor
+``scipy.sparse``.  The binding is registered under its own dotted name,
+which a later ``import scipy.optimize`` then reuses.  Without the file it
+falls back to the ordinary import.  HiGHS runs its simplex on one thread
+with a fixed random seed, primal and dual feasibility tolerances of 1e-10
+and no output, so an LP gives the same answer bit for bit in every process.
 
 An ``optimal`` answer is a checked claim, by ``certify`` on the LP's own
 data: the point breaks no row or bound by more than 1e-9 (primal side), and
-its objective is within 1e-9 of the lower bound that HiGHS's row duals,
-sign-corrected, prove for every feasible point (dual side).  When HiGHS's
-duals prove too little, the duals of its final basis, solved for again on
-the unscaled data by a sparse LU (``_basis_duals``, the only user of
-``scipy.sparse``), get a second try under the same limits.
+its objective is within 1e-9 of the lower bound that the row duals of
+HiGHS's final basis, sign-corrected, prove for every feasible point (dual
+side).  ``_basis_duals`` solves for those duals with HiGHS's own factor of
+the basis and refines them once on the unscaled data; HiGHS's reported row
+duals are not read.
 """
 
 from __future__ import annotations
@@ -332,46 +331,42 @@ def certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> None:
             f"LP point is {gap:.3g} above its dual bound (limit {TOL:g})")
 
 
-def _basis_duals(lp: LinearProgram, basic: np.ndarray) -> np.ndarray:
-    """Row duals y solving B'y = c_B for the final basis, from the LP's own data.
+def _basis_duals(lp: LinearProgram, highs, basic: np.ndarray) -> np.ndarray:
+    """Row duals y solving B'y = c_B for HiGHS's final basis, by HiGHS's own factor.
 
     ``basic`` lists, for each row, its basic variable as HiGHS numbers them:
     a column j >= 0, or -(1 + r) for the logical of row r, whose column in
-    B is +-e_r and whose cost is 0, so its sign does not matter.  B' is
-    factored once by a sparse LU and the solve is refined twice on the
-    unscaled data.  HiGHS's own row duals can miss the rounding of its scaled
-    solve by enough that ``certify`` refuses an optimal point; these need not.
+    B is e_r and whose cost is 0.  The first solve is refined once on the
+    LP's own triplets.  Each right-hand side is scaled to a largest entry of
+    1, since HiGHS's solve can return all zeros for a small one.  HiGHS's row
+    duals can miss the rounding of its scaled solve by enough that
+    ``certify`` refuses an optimal point; these need not.
     """
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
+    ok = _highs().HighsStatus.kOk
 
-    m, a = lp.num_constraints, lp.a
-    slot = np.full(lp.num_vars, -1)  # column j -> its position in the basis
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        scale = np.abs(rhs).max(initial=0.0) or 1.0
+        status, sol = highs.getBasisTransposeSolve(rhs / scale)
+        if status != ok:
+            raise NumericalInstability(f"HiGHS's basis solve ended with {status.name}")
+        return scale * sol
+
     structural = basic >= 0
-    slot[basic[structural]] = np.flatnonzero(structural)
-    logical = np.flatnonzero(~structural)
-    keep = slot[a.col] >= 0
-    # row k of B' is basic variable k's column of a, or e_r for a logical
-    bt = csc_matrix((np.concatenate([a.data[keep], np.ones(logical.size)]),
-                     (np.concatenate([slot[a.col[keep]], logical]),
-                      np.concatenate([a.row[keep], -1 - basic[logical]]))), shape=(m, m))
+    cols = basic[structural]
     c_b = np.where(structural, lp.c[np.maximum(basic, 0)], 0.0)
-    try:
-        lu = splu(bt)
-    except RuntimeError as exc:  # singular to working precision
-        raise NumericalInstability(f"the final basis cannot be factored: {exc}") from None
-    y = lu.solve(c_b)
-    for _ in range(2):
-        y += lu.solve(c_b - bt @ y)
-    return y
+    y = solve(c_b)
+    bt_y = np.empty(basic.size)
+    bt_y[structural] = lp.a.rdot(y)[cols]
+    bt_y[~structural] = y[-1 - basic[~structural]]
+    return y + solve(c_b - bt_y)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS's simplex; never raises for infeasible/unbounded.
 
-    An ``optimal`` answer has passed ``certify``, with HiGHS's row duals or,
-    failing them, with ``_basis_duals``.  Raises ``NumericalInstability``
-    when it does not, or when HiGHS ends in any other state.
+    An ``optimal`` answer has passed ``certify`` with the duals of
+    ``_basis_duals``.  Raises ``NumericalInstability`` when it does not, or
+    when HiGHS ends in any other state or refuses a basis call.
     """
     if not np.all(np.isfinite(lp.lo)):
         raise ValueError("solve_lp requires finite lower bounds")
@@ -404,13 +399,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise NumericalInstability(f"HiGHS ended with {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    try:
-        certify(lp, x, np.array(solution.row_dual))
-    except NumericalInstability:
-        status, basic = highs.getBasicVariables()
-        if status != h.HighsStatus.kOk:
-            raise
-        certify(lp, x, _basis_duals(lp, basic))
+    status, basic = highs.getBasicVariables()
+    if status != h.HighsStatus.kOk:
+        raise NumericalInstability(f"HiGHS's basis read ended with {status.name}")
+    certify(lp, x, _basis_duals(lp, highs, basic))
     return LpSolution(
         status=STATUS_OPTIMAL,
         values=x,

@@ -3,8 +3,8 @@
 Nothing here needs an array, so this module imports no numpy: ``dpmech
 select`` runs on it alone.  It imports no dataclasses either, which pulls in
 inspect, ast, dis and tokenize and takes several times as long to import as
-the rest of the module.  The other modules import these names from here;
-``core`` and ``analysis`` expose the public ones as their own.
+the rest of the module.  The other modules import these names from here,
+and ``analysis`` exposes ``select_strategy`` as its own.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from dpmech.analysis import DP_ALPHA_GRID_STEPS, PropertyReport
-from dpmech.core import PROPERTIES, TOL, Mechanism
+from dpmech.core import TOL, Mechanism
 from dpmech.explicit import geometric
+from dpmech.strategy import PROPERTIES
 
 
 def _sides(g: np.ndarray, prop: str):

@@ -26,9 +26,9 @@ from dpmech import (
     uniform,
 )
 from dpmech import analysis
-from dpmech.analysis import SOLVE_LP_WH, SOLVE_LP_WH_CM, USE_EM, USE_GM
 from dpmech.core import TOL, Mechanism
 from dpmech.errors import AlphaOutOfRange
+from dpmech.strategy import SOLVE_LP_WH, SOLVE_LP_WH_CM, USE_EM, USE_GM
 
 
 class TestThresholds:

@@ -49,6 +49,21 @@ def test_design_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text, props", [("WH,,CM", ["CM", "WH"]), ("WH,", ["WH"])])
+def test_design_skips_empty_property_names(tmp_path, capsys, text, props):
+    code = cli.main(["design", "--n", "3", "--alpha", "0.6", "--props", text,
+                     "--out", str(tmp_path / "m.csv")])
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["props"] == props
+
+
+def test_design_unwritable_out_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "m.csv"
+    code = cli.main(["design", "--n", "3", "--alpha", "0.6", "--out", str(out)])
+    assert code == cli.EXIT_SOLVER
+    assert f"cannot write {out}" in _error_only(capsys)
+
+
 def test_design_rejects_retired_property_alias(tmp_path, capsys):
     out = tmp_path / "m.csv"
     with pytest.raises(SystemExit) as exc:
@@ -363,6 +378,14 @@ def test_export_heatmap_missing_input_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_FLAGS
     _error_only(capsys)
     assert not out.exists()
+
+
+def test_export_heatmap_unwritable_out_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "m.csv", tmp_path / "missing" / "heat.csv"
+    write_mechanism_csv(uniform(2), path, alpha=1.0)
+    code = cli.main(["export-heatmap", "--in", str(path), "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    assert f"cannot write {out}" in _error_only(capsys)
 
 
 def test_evaluate_oversized_csv_field_exits_3(tmp_path, capsys):

@@ -143,6 +143,15 @@ class TestInputRules:
         with pytest.raises(ValueError, match="counts must be whole numbers"):
             GroupCounts(n=2, counts=counts)
 
+    def test_group_counts_copy_a_writable_array_and_keep_a_read_only_one(self):
+        a = np.array([1, 2])
+        groups = GroupCounts(n=2, counts=a)
+        a[0] = 0
+        assert groups.counts.tolist() == [1, 2]
+        assert not groups.counts.flags.writeable
+        a.setflags(write=False)
+        assert GroupCounts(n=2, counts=a).counts is a
+
     @pytest.mark.parametrize("n", [-3, 2.5, np.inf])
     def test_group_size_is_an_integer_at_least_0(self, n):
         with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {n}")):

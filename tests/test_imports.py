@@ -9,14 +9,11 @@ import dpmech
 from conftest import run_fresh
 from dpmech import explicit, write_mechanism_csv
 
-#: each public name of the package, by the submodule the package took it
-#: from while it imported every submodule eagerly; lazily loaded, it must
-#: still give the same object
+#: each public name of the package, by the submodule that defines it;
+#: lazily loaded, it must give the same object
 _PUBLIC = {
-    "analysis": "PropertyReport SelectionResult dp_alpha_max gm_derivable "
-                "gm_is_column_monotone gm_weak_honesty_threshold property_report "
-                "select_strategy",
-    "core": "Mechanism Objective PROPERTIES check_property implied_properties is_dp "
+    "analysis": "PropertyReport dp_alpha_max gm_derivable property_report",
+    "core": "Mechanism Objective check_property implied_properties is_dp "
             "l0_objective l0_score l0d_objective l0d_score l1_objective l2_objective "
             "new_mechanism objective_value read_mechanism_csv symmetrize uniform_weights "
             "write_mechanism_csv",
@@ -25,6 +22,8 @@ _PUBLIC = {
     "explicit": "em_l0_cost explicit_fair fair_diagonal geometric gm_l0_cost uniform",
     "lp": "CooMatrix LinearProgram LpSolution build_lp design_mechanism max_violation "
           "solve_lp",
+    "strategy": "PROPERTIES SelectionResult gm_is_column_monotone "
+                "gm_weak_honesty_threshold select_strategy",
 }
 _SUBMODULES = ("analysis", "core", "errors", "evaluate", "explicit", "lp")
 

@@ -50,6 +50,7 @@ from dpmech.lp import (
     _basis_duals,
     certify,
 )
+from dpmech import lp as lp_module
 from dpmech.errors import DimensionMismatch, NumericalInstability
 
 
@@ -323,6 +324,13 @@ class TestSolveLp:
         with pytest.raises(ValueError, match="solve_lp requires finite lower bounds"):
             solve_lp(_mk([1.0], [[1.0]], [REL_GE], [0.0], lo=[-np.inf]))
 
+    def test_any_other_highs_state_is_numerical_instability(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_HIGHS_OPTIONS",
+                            lp_module._HIGHS_OPTIONS + (("simplex_iteration_limit", 1),))
+        with pytest.raises(NumericalInstability,
+                           match="HiGHS ended with Iteration limit reached"):
+            solve_lp(build_lp(4, 0.62, frozenset(), l0_objective(4)))
+
     def test_basicdp_n2_recovers_geometric(self):
         lp = build_lp(2, 0.5, frozenset(), l0_objective(2))
         sol = solve_lp(lp)
@@ -374,8 +382,8 @@ class TestSolveLp:
         assert max_violation(lp, sol.values) <= 1e-9
         assert sol.objective_value == pytest.approx(linprog_optimum(lp), abs=1e-9)
 
-    # HiGHS's own row duals fail certify on each of these (reduced costs of
-    # basic columns up to 4e-6); the duals of its final basis prove them
+    # HiGHS's reported row duals would fail certify on each of these (reduced
+    # costs of basic columns up to 4e-6); the refined duals of its basis prove them
     @pytest.mark.parametrize("n", [24, 32])
     @pytest.mark.parametrize("props, objective", [
         ((), l0_objective), ((), l1_objective),
@@ -442,18 +450,63 @@ class TestCertify:
 
 
 class TestBasisDuals:
-    def test_structural_and_logical_basics(self):
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each (basic, y) that ``solve_lp`` takes from ``_basis_duals``."""
+        calls = []
+
+        def spy(lp, highs, basic):
+            y = _basis_duals(lp, highs, basic)
+            calls.append((basic.copy(), y))
+            return y
+
+        monkeypatch.setattr(lp_module, "_basis_duals", spy)
+        return calls
+
+    def test_structural_and_logical_basics(self, monkeypatch):
         # min x1 + 2 x2 s.t. x1 + x2 >= 1, x1 <= 5: at x = (1, 0) the basis is
         # x1 (row 0) and row 1's logical, so y1 = 0 and y0 = c1 = 1
+        calls = self._spy(monkeypatch)
         lp = _mk([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [REL_GE, REL_LE], [1.0, 5.0])
-        y = _basis_duals(lp, np.array([0, -2], dtype=np.int32))
+        sol = solve_lp(lp)
+        [(basic, y)] = calls
+        assert sorted(basic.tolist()) == [-2, 0]
         assert y.tolist() == [1.0, 0.0]
-        certify(lp, np.array([1.0, 0.0]), y)
+        certify(lp, sol.values, y)
 
-    def test_singular_basis_is_numerical_instability(self):
-        lp = _mk([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [REL_GE, REL_GE], [1.0, 1.0])
-        with pytest.raises(NumericalInstability, match="final basis cannot be factored"):
-            _basis_duals(lp, np.array([0, 1], dtype=np.int32))
+    def test_refined_duals_solve_the_basis_to_rounding(self, monkeypatch):
+        # HiGHS's row duals, and its basis solve unrefined or refined on an
+        # unscaled right-hand side, all leave about 2.8e-7 here
+        calls = self._spy(monkeypatch)
+        lp = build_lp(32, 0.3, frozenset(), l1_objective(32))
+        solve_lp(lp)
+        [(basic, y)] = calls
+        structural = basic >= 0
+        bt_y = np.where(structural, (lp.a.toarray().T @ y)[np.maximum(basic, 0)],
+                        y[-1 - np.minimum(basic, -1)])
+        c_b = np.where(structural, lp.c[np.maximum(basic, 0)], 0.0)
+        assert np.abs(c_b - bt_y).max() <= 1e-12
+
+    @pytest.mark.parametrize("call", ["getBasicVariables", "getBasisTransposeSolve"])
+    def test_refused_basis_call_is_numerical_instability(self, monkeypatch, call):
+        h = lp_module._highs()
+        real = h._Highs
+
+        class Refusing:
+            """A HiGHS run whose ``call`` ends in an error."""
+
+            def __init__(self):
+                self._real = real()
+
+            def __getattr__(self, name):
+                if name == call:
+                    return lambda *args: (h.HighsStatus.kError, np.zeros(0))
+                return getattr(self._real, name)
+
+        monkeypatch.setattr(h, "_Highs", Refusing)
+        lp = _mk([1.0, 1.0], [[1.0, 1.0]], [REL_GE], [2.0])
+        with pytest.raises(NumericalInstability, match="ended with kError"):
+            solve_lp(lp)
 
 
 class TestHighsLoader:
@@ -477,8 +530,8 @@ class TestHighsLoader:
         assert "scipy.optimize._highspy._core" in loaded
         assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
 
-    def test_only_the_dual_fallback_loads_sparse_linalg(self, tmp_path):
-        # HiGHS's own duals fail certify at n=24, alpha=0.3 (ROADMAP item 1)
+    def test_n24_design_loads_neither_optimize_nor_sparse(self, tmp_path):
+        # HiGHS's own row duals fail certify at n=24, alpha=0.3 (ROADMAP item 1)
         out = run_fresh(
             "import json, sys\n"
             "from dpmech import cli\n"
@@ -487,7 +540,7 @@ class TestHighsLoader:
             "assert code == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
         loaded = json.loads(out.splitlines()[-1])
-        assert "scipy.sparse.linalg" in loaded and "scipy.optimize" not in loaded
+        assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
 
     @pytest.mark.parametrize("first", ["scipy", "solve"])
     def test_scipy_optimize_imports_before_or_after_a_solve(self, first):
