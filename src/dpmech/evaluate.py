@@ -34,6 +34,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -72,8 +73,9 @@ def substream(seed: int, k: int) -> np.random.Generator:
 class GroupCounts:
     """True counts, one per group, each in [0, n]; n is an integer >= 0.
 
-    ``counts`` is kept read-only.  A read-only array is kept as it is; a
-    writable one is copied first, so the caller can still write to its own.
+    ``counts`` is kept read-only.  A read-only array that owns its memory is
+    kept as it is; any other (a writable one, or a view such as a read-only
+    ``np.broadcast_to``) is copied first, so no later write can reach it.
     """
 
     n: int
@@ -86,7 +88,7 @@ class GroupCounts:
             raise DimensionMismatch("counts must be a 1-D vector")
         if counts.size and (counts.min() < 0 or counts.max() > self.n):
             raise ValueError(f"counts must lie in [0, {self.n}]")
-        if counts.flags.writeable:
+        if counts.flags.writeable or counts.base is not None:
             counts = counts.copy()
             counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -158,7 +160,10 @@ def binomial_population(total: int, n: int, p: float,
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-_PREDICATE_OPS = ("<=", ">=", "==", "<", ">")
+#: predicate operators, two-character ones first so they win at one position
+_PREDICATE_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+                  "<": operator.lt, ">": operator.gt}
+_PREDICATE = re.compile(f"(.+?)({'|'.join(map(re.escape, _PREDICATE_OPS))})(.*)", re.DOTALL)
 #: distinct cells whose bit ingest_groups remembers; past this, new cells are
 #: evaluated in every block or row, which bounds the memo on unique-valued columns
 _MEMO_CELLS = 1 << 16
@@ -174,52 +179,34 @@ def parse_predicate(spec: str):
     """Parse '<column><op><value>' into (column, value-predicate), or a spec
     with no operator into (column, None): a column that holds 0/1 bits.
 
-    Ordering ops compare numerically; '==' compares numerically when both
-    sides parse as numbers, else as strings.
+    The spec splits at the first operator after the column's first character,
+    where '<=' and '>=' win over '<' and '>': '<a<5' and '<a>=5' both name
+    column '<a'.  Ordering ops compare numerically; '==' compares numerically
+    when both sides parse as numbers, else as stripped strings.
     """
-    best = None
-    for op in _PREDICATE_OPS:
-        pos = spec.find(op)
-        if pos > 0 and (best is None or pos < best[0]
-                        or (pos == best[0] and len(op) > len(best[1]))):
-            best = (pos, op)
-    if best is None:
+    match = _PREDICATE.fullmatch(spec)
+    if match is None:
         if not spec.strip() or any(op in spec for op in _PREDICATE_OPS):
             raise ValueError(f"predicate {spec!r} must look like '<column><op><value>'")
         return spec.strip(), None
-    pos, op = best
-    column = spec[:pos].strip()
-    raw = spec[pos + len(op):].strip()
+    column, op, raw = (part.strip() for part in match.groups())
     if not column or not raw:
         raise ValueError(f"predicate {spec!r} is missing a column or value")
-
-    if op == "==":
-        try:
-            target = float(raw)
-
-            def pred(cell: str) -> bool:
-                try:
-                    return float(cell) == target
-                except ValueError:
-                    return cell.strip() == raw
-        except ValueError:
-            def pred(cell: str) -> bool:
-                return cell.strip() == raw
-        return column, pred
-
+    compare = _PREDICATE_OPS[op]
     try:
         target = float(raw)
     except ValueError:
-        raise ValueError(f"predicate {spec!r}: value {raw!r} is not a number") from None
-    compare = {
-        "<": lambda v: v < target,
-        "<=": lambda v: v <= target,
-        ">": lambda v: v > target,
-        ">=": lambda v: v >= target,
-    }[op]
+        if op != "==":
+            raise ValueError(f"predicate {spec!r}: value {raw!r} is not a number") from None
+        return column, lambda cell: cell.strip() == raw
 
     def pred(cell: str) -> bool:
-        return compare(float(cell))
+        try:
+            return compare(float(cell), target)
+        except ValueError:
+            if op != "==":
+                raise
+            return cell.strip() == raw
 
     return column, pred
 
@@ -288,14 +275,15 @@ def ingest_groups(csv_path, column: str, group_size: int,
                   predicate=None) -> GroupCounts:
     """Read per-row bits from a headed CSV and sum consecutive rows into groups.
 
-    Without a predicate the column must hold literal 0/1 values; with one,
-    the bit is predicate(cell).  group_size must be an integer >= 1.  Rows keep
-    file order; a trailing incomplete group is dropped.  Rows whose cells are
-    all blank are skipped.  The file is UTF-8, with or without a byte-order
-    mark.  Errors raise ParseError naming the record's line number (the
-    header is line 1), or that the file is not valid UTF-8, whichever comes
-    first in the file: every record before the first line that holds a byte
-    that is not UTF-8 is checked first.
+    The bit is predicate(cell); a cell it raises ValueError on is an error.
+    Without a predicate the column must hold 0/1 values, read through the
+    predicate ("0", "1").index(cell.strip()).  group_size must be an integer
+    >= 1.  Rows keep file order; a trailing incomplete group is dropped.  Rows
+    whose cells are all blank are skipped.  The file is UTF-8, with or without
+    a byte-order mark.  Errors raise ParseError naming the record's line
+    number (the header is line 1), or that the file is not valid UTF-8,
+    whichever comes first in the file: every record before the first line
+    that holds a byte that is not UTF-8 is checked first.
 
     A file and a pipe are read alike, once and in order.  numpy scans 256 KiB
     blocks of whole lines while every line is plain (valid UTF-8, no quote,
@@ -313,7 +301,10 @@ def ingest_groups(csv_path, column: str, group_size: int,
     non-blank row.
     """
     group_size = _check_n(group_size)
-    what = "expected a 0/1 bit, got" if predicate is None else "cannot evaluate predicate on"
+    what = "cannot evaluate predicate on"
+    if predicate is None:
+        what = "expected a 0/1 bit, got"
+        predicate = lambda cell: ("0", "1").index(cell.strip())
     bit_of: dict = {}
     lookup = bit_of.get
     bits = bytearray()
@@ -322,18 +313,14 @@ def ingest_groups(csv_path, column: str, group_size: int,
     col = None
 
     def learn(cell: str):
-        # cell's bit, or None when it fails the 0/1 check or the predicate;
+        # cell's bit, or None when the predicate raises ValueError on it;
         # remembered while the memo has room, but a blank cell never is, so a
         # whitespace-only row still reaches the blank-row check
-        if predicate is None:
-            value = cell.strip()
-            bit = int(value) if value in ("0", "1") else None
-        else:
-            try:
-                bit = 1 if predicate(cell) else 0
-            except ValueError:
-                bit = None
-        if bit is not None and len(bit_of) < _MEMO_CELLS and cell.strip():
+        try:
+            bit = 1 if predicate(cell) else 0
+        except ValueError:
+            return None
+        if len(bit_of) < _MEMO_CELLS and cell.strip():
             bit_of[cell] = bit
         return bit
 

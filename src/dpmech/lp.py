@@ -133,6 +133,14 @@ class LinearProgram:
         self.b = np.asarray(self.b, dtype=np.float64)
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)
+        for name in ("c", "rel", "b", "lo", "hi"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be a 1-D vector")
+        for name in ("c", "b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("bounds must not be NaN")
         if not isinstance(self.a, CooMatrix):
             raise TypeError(f"a must be a CooMatrix, got {type(self.a).__name__}")
         if self.a.shape != (self.b.size, self.c.size):

@@ -7,9 +7,19 @@ import pytest
 
 from conftest import edge_mechanism
 from dpmech import (
+    EvalConfig,
+    binomial_population,
     cli,
+    empirical_l0d,
+    empirical_rmse,
+    evaluate,
     explicit_fair,
+    geometric,
+    ingest_groups,
+    l0_objective,
     lp,
+    objective_value,
+    parse_predicate,
     read_mechanism_csv,
     select_strategy,
     uniform,
@@ -475,3 +485,50 @@ def test_evaluate_tail_offset_past_the_group_size_exits_2_before_reading(tmp_pat
                      "--d", "7"])
     assert code == cli.EXIT_FLAGS
     assert "tail offset d=7 exceeds group size n=2" in _error_only(capsys)
+
+
+def _evaluate_json(tmp_path, capsys, argv):
+    """The JSON a successful evaluate of GM(4, 0.62) prints, with 5 reps at
+    seed 11, and the mechanism it read."""
+    path = tmp_path / "m.csv"
+    write_mechanism_csv(geometric(4, 0.62), path, alpha=0.62)
+    code = cli.main(["evaluate", "--mech", str(path), "--group-size", "4", "--reps", "5",
+                     "--seed", "11", *argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK and captured.err == ""
+    return json.loads(captured.out), read_mechanism_csv(path)[0]
+
+
+@pytest.mark.parametrize("metric, d", [("l0d", 0), ("l0d", 2), ("rmse", 0)])
+def test_evaluate_binomial_prints_the_library_result(tmp_path, capsys, metric, d):
+    doc, mech = _evaluate_json(tmp_path, capsys, ["--data", "binomial", "--p", "0.3",
+                                                  "--total", "2000", "--metric", metric,
+                                                  "--d", str(d)])
+    groups = binomial_population(2000, 4, 0.3, evaluate.substream(11, evaluate.DATA_STREAM))
+    empirical = empirical_l0d if metric == "l0d" else empirical_rmse
+    cfg = EvalConfig(reps=5, seed=11, d=d, metric=metric)
+    assert doc == empirical(mech, groups, cfg).to_json_dict()
+
+
+@pytest.mark.parametrize("predicate", ["age>=65", "flag"])
+def test_evaluate_csv_prints_the_library_result(tmp_path, capsys, predicate):
+    rng = np.random.default_rng(3)
+    people = tmp_path / "people.csv"
+    people.write_text("id,age,flag\n" + "".join(
+        f"{i},{age},{flag}\n" for i, (age, flag) in
+        enumerate(zip(rng.integers(18, 90, 41), rng.integers(0, 2, 41)))))
+    doc, mech = _evaluate_json(tmp_path, capsys, ["--data", "csv", "--csv", str(people),
+                                                  "--predicate", predicate])
+    column, pred = parse_predicate(predicate)
+    groups = ingest_groups(people, column, 4, predicate=pred)
+    assert groups.num_groups == 10
+    assert doc == empirical_l0d(mech, groups, EvalConfig(reps=5, seed=11)).to_json_dict()
+
+
+def test_design_uniform_writes_the_uniform_mechanism(tmp_path, capsys):
+    out = tmp_path / "um.csv"
+    code = cli.main(["design", "--mechanism", "um", "--n", "3", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert np.array_equal(read_mechanism_csv(out)[0].matrix, uniform(3).matrix)
+    assert doc["objective_value"] == objective_value(uniform(3), l0_objective(3))

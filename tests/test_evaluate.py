@@ -70,6 +70,16 @@ class TestParsePredicate:
         with pytest.raises(ValueError, match="must look like|missing a column or value"):
             parse_predicate(spec)
 
+    @pytest.mark.parametrize("spec, inside, outside", [
+        ("<a<5", "4", "5"),
+        ("<a>=5", "5", "4"),
+    ])
+    def test_a_column_may_begin_with_an_operator_character(self, spec, inside, outside):
+        # the split is at the first operator after the column's first character
+        column, pred = parse_predicate(spec)
+        assert column == "<a"
+        assert pred(inside) and not pred(outside)
+
     def test_non_numeric_value_is_named(self):
         with pytest.raises(ValueError, match="'abc'"):
             parse_predicate("age<=abc")
@@ -151,6 +161,19 @@ class TestInputRules:
         assert not groups.counts.flags.writeable
         a.setflags(write=False)
         assert GroupCounts(n=2, counts=a).counts is a
+
+    def test_group_counts_copy_a_read_only_view_of_a_writable_array(self):
+        a = np.zeros(500, np.int64)
+        groups = GroupCounts(n=4, counts=np.broadcast_to(a, a.shape))
+        mech, cfg = geometric(4, 0.5), EvalConfig(reps=3, seed=5)
+        first = empirical_l0d(mech, groups, cfg).per_rep
+        a[:] = 4
+        assert groups.counts.tolist() == [0] * 500
+        assert empirical_l0d(mech, groups, cfg).per_rep == first
+        # an equal mechanism is another object, so it draws groups afresh
+        assert empirical_l0d(geometric(4, 0.5), groups, cfg).per_rep == first
+        a[:] = 9  # past n, which a kept view would hand to the sampler
+        assert empirical_l0d(geometric(4, 0.5), groups, cfg).per_rep == first
 
     @pytest.mark.parametrize("n", [-3, 2.5, np.inf])
     def test_group_size_is_an_integer_at_least_0(self, n):

@@ -56,6 +56,10 @@ def test_public_names_are_pinned():
     assert len(dpmech.__all__) == 55
 
 
+def test_dir_lists_every_public_name():
+    assert set(dpmech.__all__) <= set(dir(dpmech))
+
+
 @pytest.mark.parametrize("module", _PUBLIC)
 def test_each_name_is_the_object_its_submodule_gives(module):
     home = getattr(dpmech, module)

@@ -227,7 +227,20 @@ class TestLinearProgramInput:
         ("hi", np.ones(1), "bound arrays disagree with variable count"),
         ("lo", [0.0, 2.0], "lower bound exceeds upper bound"),
         ("rel", [5, REL_GE], "rel entries must be REL_LE, REL_EQ or REL_GE"),
-    ], ids=["rel", "lo", "hi", "lo-above-hi", "unknown-rel"])
+        # the rest once constructed, though solve_lp cannot take them
+        ("c", np.ones((1, 2)), "c must be a 1-D vector"),
+        ("rel", [[REL_GE], [REL_GE]], "rel must be a 1-D vector"),
+        ("b", np.zeros((2, 1)), "b must be a 1-D vector"),
+        ("lo", np.zeros((1, 2)), "lo must be a 1-D vector"),
+        ("hi", np.ones((2, 1)), "hi must be a 1-D vector"),
+        ("c", [1.0, np.nan], "c must be finite"),
+        ("c", [1.0, -np.inf], "c must be finite"),
+        ("b", [0.0, np.nan], "b must be finite"),
+        ("b", [0.0, np.inf], "b must be finite"),
+        ("lo", [0.0, np.nan], "bounds must not be NaN"),
+        ("hi", [np.nan, 1.0], "bounds must not be NaN"),
+    ], ids=["rel", "lo", "hi", "lo-above-hi", "unknown-rel", "2d-c", "2d-rel", "2d-b",
+            "2d-lo", "2d-hi", "nan-c", "inf-c", "nan-b", "inf-b", "nan-lo", "nan-hi"])
     def test_rows_and_bounds_must_fit(self, field, value, message):
         fields = dict(c=np.ones(2), a=coo(np.eye(2)), rel=[REL_GE, REL_GE], b=np.zeros(2),
                       lo=np.zeros(2), hi=np.ones(2))
