@@ -25,7 +25,7 @@ size limit) with a non-blank target cell of at most 8 bytes that passes its
 check; a csv.reader row loop reads the rest from the first block the scan
 declines.  Each distinct non-blank cell text is evaluated once, up to 65,536
 cells, so a predicate must be a pure function of the cell's text.  Memory
-is one block plus one byte per row.
+is one block, the longest line and one byte per row.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import operator
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -73,24 +73,24 @@ def substream(seed: int, k: int) -> np.random.Generator:
 class GroupCounts:
     """True counts, one per group, each in [0, n]; n is an integer >= 0.
 
-    ``counts`` is kept read-only.  A read-only array that owns its memory is
-    kept as it is; any other (a writable one, or a view such as a read-only
-    ``np.broadcast_to``) is copied first, so no later write can reach it.
+    ``counts`` is a read-only copy of the caller's values, so no later write
+    or flag change can reach it.  Only this module's producers, whose arrays
+    are fresh and held by no one else, pass ``_adopt=True`` to skip the copy.
     """
 
     n: int
     counts: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         object.__setattr__(self, "n", _check_whole(self.n, 0, "n must be an integer >= 0"))
-        counts = _whole_array(self.counts, np.int64, "counts must be whole numbers")
+        counts = self.counts if _adopt else np.array(self.counts)
+        counts = _whole_array(counts, np.int64, "counts must be whole numbers")
         if counts.ndim != 1:
             raise DimensionMismatch("counts must be a 1-D vector")
         if counts.size and (counts.min() < 0 or counts.max() > self.n):
             raise ValueError(f"counts must lie in [0, {self.n}]")
-        if counts.flags.writeable or counts.base is not None:
-            counts = counts.copy()
-            counts.setflags(write=False)
+        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -151,9 +151,7 @@ def binomial_population(total: int, n: int, p: float,
     if total < n:
         raise ValueError(f"need total >= n, got total={total}, n={n}")
     groups = _check_whole(total, n, "total must be a whole number") // n
-    counts = rng.binomial(n, p, size=groups)
-    counts.setflags(write=False)  # handed over, so GroupCounts need not copy it
-    return GroupCounts(n=n, counts=counts)
+    return GroupCounts(n=n, counts=rng.binomial(n, p, size=groups), _adopt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +278,10 @@ def ingest_groups(csv_path, column: str, group_size: int,
     predicate ("0", "1").index(cell.strip()).  group_size must be an integer
     >= 1.  Rows keep file order; a trailing incomplete group is dropped.  Rows
     whose cells are all blank are skipped.  The file is UTF-8, with or without
-    a byte-order mark.  Errors raise ParseError naming the record's line
-    number (the header is line 1), or that the file is not valid UTF-8,
-    whichever comes first in the file: every record before the first line
-    that holds a byte that is not UTF-8 is checked first.
+    a byte-order mark.  Errors raise ParseError naming the line a record ends
+    on, as csv.reader counts lines (the header is line 1), or that the file is
+    not valid UTF-8, whichever comes first in the file: every record before the
+    first line with a non-UTF-8 byte is checked first.
 
     A file and a pipe are read alike, once and in order.  numpy scans 256 KiB
     blocks of whole lines while every line is plain (valid UTF-8, no quote,
@@ -291,7 +289,7 @@ def ingest_groups(csv_path, column: str, group_size: int,
     non-blank target cell of at most 8 bytes that passes its check.  From
     the first block the scan declines, the csv.reader row loop reads the
     rest with the bits, memo and line count so far, and raises any error.
-    Memory is one block plus one byte per row.
+    Memory is one block, the longest line and one byte per row.
 
     The predicate must be a pure function of the cell's text: it is called
     once per distinct non-blank cell, and every later row holding the same
@@ -309,7 +307,6 @@ def ingest_groups(csv_path, column: str, group_size: int,
     lookup = bit_of.get
     bits = bytearray()
     append = bits.append
-    skipped = 0
     col = None
 
     def learn(cell: str):
@@ -347,6 +344,7 @@ def ingest_groups(csv_path, column: str, group_size: int,
         # the row loop reads rest, then fh, so rest must end where the text
         # wrapper ends a line: at a '\n', at a '\r' not before one, or at the end
         # of fh.  A file whose lines end in '\r' may hold no '\n' to read up to
+        rest = bytearray(rest)  # grows in place, so a long line takes linear time
         while rest and not rest.endswith(b"\n"):
             ahead = fh.peek()
             if not ahead or rest.endswith(b"\r"):
@@ -360,11 +358,16 @@ def ingest_groups(csv_path, column: str, group_size: int,
                                 "surrogateescape", newline="")
         text = io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")
         reader = csv.reader(_utf8_lines(itertools.chain(held, text)))
+        # lines before the reader's first: the header, if parsed above, and
+        # one per row the block scan took, which never takes a blank line
+        lines = (col is not None) + len(bits)
+
+        def fault(message) -> ParseError:
+            return ParseError(f"{csv_path}: line {lines + reader.line_num}: {message}")
+
         try:
             if col is None:
                 col = _column_of(next(reader, None), csv_path, column)
-            # every row so far appended a bit or was skipped, so the row at
-            # hand sits on line len(bits) + skipped + 2
             for row in reader:
                 try:
                     bit = lookup(row[col])
@@ -372,26 +375,22 @@ def ingest_groups(csv_path, column: str, group_size: int,
                     bit = None
                 if bit is None:
                     # a cell not seen before, or a short row: the per-row checks
-                    line_no = len(bits) + skipped + 2
                     if not any(map(str.strip, row)):
-                        skipped += 1
                         continue
                     if col >= len(row):
-                        raise ParseError(f"{csv_path}: line {line_no}: too few fields")
+                        raise fault("too few fields")
                     bit = learn(row[col])
                     if bit is None:
-                        raise ParseError(f"{csv_path}: line {line_no}: {what} {row[col]!r}")
+                        raise fault(f"{what} {row[col]!r}")
                 append(bit)
         except csv.Error as exc:
-            line_no = 1 if col is None else len(bits) + skipped + 2
-            raise ParseError(f"{csv_path}: line {line_no}: {exc}") from None
+            raise fault(exc) from None
         except UnicodeError:
             raise ParseError(f"{csv_path}: not valid UTF-8") from None
     groups = len(bits) // group_size
     arr = np.frombuffer(bits, np.uint8)[:groups * group_size]
     counts = arr.reshape(groups, group_size).sum(axis=1, dtype=np.int64)
-    counts.setflags(write=False)  # handed over, so GroupCounts need not copy it
-    return GroupCounts(n=group_size, counts=counts)
+    return GroupCounts(n=group_size, counts=counts, _adopt=True)
 
 
 # ---------------------------------------------------------------------------

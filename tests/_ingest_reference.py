@@ -34,7 +34,9 @@ def ingest_groups(csv_path, column: str, group_size: int,
             raise UnknownColumn(f"{csv_path}: no column {column!r} in header {names}")
         col = names.index(column)
         bits = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # the physical line the record ends on; a quoted field may span lines
+            line_no = reader.line_num
             if not row or all(not c.strip() for c in row):
                 continue
             if col >= len(row):

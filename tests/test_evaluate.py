@@ -153,14 +153,19 @@ class TestInputRules:
         with pytest.raises(ValueError, match="counts must be whole numbers"):
             GroupCounts(n=2, counts=counts)
 
-    def test_group_counts_copy_a_writable_array_and_keep_a_read_only_one(self):
+    def test_group_counts_copy_a_writable_array_and_a_read_only_one(self):
         a = np.array([1, 2])
         groups = GroupCounts(n=2, counts=a)
         a[0] = 0
         assert groups.counts.tolist() == [1, 2]
         assert not groups.counts.flags.writeable
+        # a read-only array can be made writable again, so it is copied too
         a.setflags(write=False)
-        assert GroupCounts(n=2, counts=a).counts is a
+        groups = GroupCounts(n=2, counts=a)
+        a.setflags(write=True)
+        a[0] = 1
+        assert groups.counts.tolist() == [0, 2]
+        assert not groups.counts.flags.writeable
 
     def test_group_counts_copy_a_read_only_view_of_a_writable_array(self):
         a = np.zeros(500, np.int64)

@@ -1,11 +1,12 @@
 """CSV ingest: equivalence with the per-row reference loop across block-scan
 hand-offs, the one-call-per-distinct-cell contract, line numbers, byte-order
-marks, pipes and csv errors."""
+marks, pipes, long lines and csv errors."""
 
 import contextlib
 import os
 import re
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -149,6 +150,27 @@ def test_late_bad_cell_keeps_its_line_number(tmp_path, monkeypatch, spec, cell, 
             == _outcome(_ingest_reference.ingest_groups, path, "val", 1, predicate))
 
 
+@pytest.mark.parametrize("lead", [0, 40])
+@pytest.mark.parametrize("body, line", [
+    ('"x\ny",1\nz,bad\n', 4),
+    ('"x\n\ny",1\n,\nz,bad\n', 6),
+    ('"x\ry",1\rz,bad\r', 4),
+], ids=["quoted-newline", "quoted-blank-line", "lone-cr"])
+def test_a_record_that_spans_lines_counts_each_line(tmp_path, monkeypatch, lead, body, line):
+    # an error names the line its record ends on, as csv.reader counts
+    # lines.  With 16-byte blocks the block scan takes the lead rows that end
+    # in '\n' before the row loop takes over at the quoted record; a file
+    # with no '\n' goes to the row loop from its header
+    monkeypatch.setattr(evaluate, "_BLOCK", 16)
+    path = tmp_path / "data.csv"
+    newline = "\r" if "\r" in body else "\n"
+    path.write_bytes(("a,b" + newline + ("x,1" + newline) * lead + body).encode())
+    with pytest.raises(ParseError, match=f"line {line + lead}: expected a 0/1 bit, got 'bad'"):
+        ingest_groups(path, "b", 1)
+    assert (_outcome(ingest_groups, path, "b", 1, None)
+            == _outcome(_ingest_reference.ingest_groups, path, "b", 1, None))
+
+
 def test_utf8_bom_is_skipped(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(b"\xef\xbb\xbfage,flag\n70,1\n20,0\n")
@@ -172,6 +194,24 @@ def test_lone_cr_line_ends_are_read_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * evaluate._BLOCK
+
+
+@pytest.mark.parametrize("head, tail, line", [
+    (b"b\n" + b"1\n" * 10, b"", 12),
+    (b"", b"\n1\n", 1),
+], ids=["last-line", "first-line"])
+def test_a_long_line_is_finished_in_linear_time(tmp_path, monkeypatch, head, tail, line):
+    # with a 64-byte buffer each peek past a line the block scan declines
+    # returns 64 bytes, so copying the line read so far at each step would
+    # take 65,536 copies of up to 4 MB
+    path = tmp_path / "data.csv"
+    path.write_bytes(head + b"x" * (4 << 20) + tail)
+    monkeypatch.setattr(evaluate, "open", lambda file, mode: open(file, mode, buffering=64),
+                        raising=False)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"line {line}: field larger than field limit"):
+        ingest_groups(path, "b", 1)
+    assert time.perf_counter() - start < 2
 
 
 @contextlib.contextmanager
