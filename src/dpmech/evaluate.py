@@ -18,21 +18,14 @@ population are the same objects, not merely equal ones; any other call draws
 again and replaces the remembered one.  The memo holds reps x (2n+1) counts
 and only weak references to its inputs, so it keeps no caller's object alive.
 
-CSV ingest (`ingest_groups`) reads a file or a pipe alike, once and in
-order.  It scans 256 KiB blocks of whole lines with numpy while every line
-is plain (valid UTF-8, no quote, NUL or lone CR, shorter than the csv field
-size limit) with a non-blank target cell of at most 8 bytes that passes its
-check; a csv.reader row loop reads the rest from the first block the scan
-declines.  Each distinct non-blank cell text is evaluated once, up to 65,536
-cells, so a predicate must be a pure function of the cell's text.  Memory
-is one block, the longest line and one byte per row.
+CSV ingest is `ingest_groups`, a numpy block scan and then a csv.reader
+row loop over one read of a file or a pipe.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import operator
 import re
@@ -259,6 +252,23 @@ def _utf8_lines(text):
         yield line
 
 
+class _Resumed(io.BufferedIOBase):
+    """Held bytes, then the rest of fh, as one stream: so one text wrapper
+    decodes both and alone decides where each line ends."""
+
+    closed = False  # read before each line: cheaper than IOBase's property
+
+    def __init__(self, held: bytes, fh):
+        self._held, self._fh = held, fh
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = -1) -> bytes:
+        held, self._held = self._held, b""
+        return held or self._fh.read1(size)
+
+
 def _column_of(header, csv_path, column: str) -> int:
     """Index of column in the header row (None when the file is empty)."""
     if header is None:
@@ -289,7 +299,8 @@ def ingest_groups(csv_path, column: str, group_size: int,
     non-blank target cell of at most 8 bytes that passes its check.  From
     the first block the scan declines, the csv.reader row loop reads the
     rest with the bits, memo and line count so far, and raises any error.
-    Memory is one block, the longest line and one byte per row.
+    Memory is one block, about twice the longest line plus that row's
+    fields, and one byte per row.
 
     The predicate must be a pure function of the cell's text: it is called
     once per distinct non-blank cell, and every later row holding the same
@@ -341,23 +352,10 @@ def ingest_groups(csv_path, column: str, group_size: int,
                 break
             bits += memoryview(np.array(known, np.uint8)[inverse])
             rest = rest[cut:]
-        # the row loop reads rest, then fh, so rest must end where the text
-        # wrapper ends a line: at a '\n', at a '\r' not before one, or at the end
-        # of fh.  A file whose lines end in '\r' may hold no '\n' to read up to
-        rest = bytearray(rest)  # grows in place, so a long line takes linear time
-        while rest and not rest.endswith(b"\n"):
-            ahead = fh.peek()
-            if not ahead or rest.endswith(b"\r"):
-                rest += fh.read(1) if ahead[:1] == b"\n" else b""
-                break
-            end = re.search(rb"[\r\n]", ahead)
-            rest += fh.read(end.end() if end else len(ahead))
-        # both bound here to outlive the generator, which drops them when it
-        # raises: freed while fh is open, text would close fh with a ResourceWarning
-        held = io.TextIOWrapper(io.BytesIO(rest), "utf-8-sig" if col is None else "utf-8",
+        text = io.TextIOWrapper(_Resumed(rest, fh), "utf-8-sig" if col is None else "utf-8",
                                 "surrogateescape", newline="")
-        text = io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="")
-        reader = csv.reader(_utf8_lines(itertools.chain(held, text)))
+        del rest  # the stream holds the only reference and drops it once read
+        reader = csv.reader(_utf8_lines(text))
         # lines before the reader's first: the header, if parsed above, and
         # one per row the block scan took, which never takes a blank line
         lines = (col is not None) + len(bits)

@@ -201,9 +201,8 @@ def test_lone_cr_line_ends_are_read_in_bounded_memory(tmp_path):
     (b"", b"\n1\n", 1),
 ], ids=["last-line", "first-line"])
 def test_a_long_line_is_finished_in_linear_time(tmp_path, monkeypatch, head, tail, line):
-    # with a 64-byte buffer each peek past a line the block scan declines
-    # returns 64 bytes, so copying the line read so far at each step would
-    # take 65,536 copies of up to 4 MB
+    # the file is opened with a 64-byte buffer, and the 4 MB line the block
+    # scan declines must still be read in linear time
     path = tmp_path / "data.csv"
     path.write_bytes(head + b"x" * (4 << 20) + tail)
     monkeypatch.setattr(evaluate, "open", lambda file, mode: open(file, mode, buffering=64),
@@ -212,6 +211,41 @@ def test_a_long_line_is_finished_in_linear_time(tmp_path, monkeypatch, head, tai
     with pytest.raises(ParseError, match=f"line {line}: field larger than field limit"):
         ingest_groups(path, "b", 1)
     assert time.perf_counter() - start < 2
+
+
+def test_a_long_line_is_held_about_twice(tmp_path):
+    # the docstring's memory bound: the row loop holds a line the block scan
+    # declines about twice, as the text wrapper joins its chunks
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"b\n" + b"1\n" * 10 + b"x" * (4 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 12: field larger than field limit"):
+            ingest_groups(path, "b", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (4 << 20)
+
+
+@pytest.mark.parametrize("block", range(4, 41))
+@pytest.mark.parametrize("text, spec", [
+    ("id,val\r\n" + "x,1\r\n" * 3 + '"q",0\r\n' + "x,1\r\n" * 3 + "x,2\r\n", None),
+    ("id,val\n" + "x,Øslo\n" * 3 + '"Ø",Øslo\nx,Ø\n' + "x,Øslo\n" * 3 + "x,Oslo\n",
+     "val==Øslo"),
+    ("\ufeffa_long_first_column,a_long_second_column,val\n" + "x,y,1\nx,y,0\n" * 4, None),
+], ids=["crlf", "two-byte-char", "long-header"])
+def test_every_block_size_hands_off_like_the_reference(tmp_path, monkeypatch, block, text,
+                                                      spec):
+    # the sweep of block sizes puts a hand-off to the row loop at each seam:
+    # between the '\r' and '\n' of a line end, inside the two bytes of 'Ø',
+    # and inside a header longer than a block, behind a byte-order mark
+    monkeypatch.setattr(evaluate, "_BLOCK", block)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    predicate = parse_predicate(spec)[1] if spec else None
+    assert (_outcome(ingest_groups, path, "val", 1, predicate)
+            == _outcome(_ingest_reference.ingest_groups, path, "val", 1, predicate))
 
 
 @contextlib.contextmanager
