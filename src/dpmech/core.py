@@ -9,6 +9,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -309,8 +310,16 @@ def _tail_costs(mech: Mechanism) -> np.ndarray:
     n = mech.n
     if n == 0:
         raise UndefinedForN0("tail costs are undefined for n=0")
-    bands = np.bincount(_by_distance(np.arange(n + 1)).ravel(), mech.matrix.ravel(), n + 1)
+    bands = np.bincount(_distances(n), mech.matrix.ravel(), n + 1)
     return np.cumsum(bands[::-1])[::-1] / n
+
+
+@functools.lru_cache(maxsize=8)
+def _distances(n: int) -> np.ndarray:
+    """|i-j| over the (n+1) x (n+1) grid, raveled row-major; read-only, as it is shared."""
+    grid = _by_distance(np.arange(n + 1)).ravel()
+    grid.flags.writeable = False
+    return grid
 
 
 def l0_score(mech: Mechanism) -> float:

@@ -18,13 +18,26 @@ falls back to the ordinary import.  HiGHS runs its simplex on one thread
 with a fixed random seed, primal and dual feasibility tolerances of 1e-10
 and no output, so an LP gives the same answer bit for bit in every process.
 
-An ``optimal`` answer is a checked claim, by ``certify`` on the LP's own
-data: the point breaks no row or bound by more than 1e-9 (primal side), and
-its objective is within 1e-9 of the lower bound that the row duals of
-HiGHS's final basis, sign-corrected, prove for every feasible point (dual
-side).  ``_basis_duals`` solves for those duals with HiGHS's own factor of
-the basis and refines them once on the unscaled data; HiGHS's reported row
-duals are not read.
+Rotating a mechanism by 180 degrees, x[i, j] -> x[n-i, n-j], reverses the
+variables.  It maps the column sums, the privacy rows and the RH, RM, CH,
+CM and WH rows each onto a row of the same block, in reverse order, and
+keeps the l0, l1 and l2 costs under weights that read the same reversed;
+so an optimum averaged with its rotation is an optimum.  ``build_lp``
+records that row map as the LP's ``mirror`` when the costs read the same
+reversed and neither F nor S is asked for, and ``LinearProgram`` checks it
+exactly.  ``solve_lp`` then gives HiGHS the folded LP, one variable per
+pair of cells {j, nv-1-j} and one row per mirror pair, about half the
+size, and expands its answer to a centrosymmetric point and to duals of
+the full LP.  F and S rows have no mirror, so those LPs, and the ones with
+asymmetric weights, go to HiGHS as they are.
+
+An ``optimal`` answer is a checked claim, by ``certify`` on the data of the
+LP the caller passed, folded or not: the point breaks no row or bound by
+more than 1e-9 (primal side), and its objective is within 1e-9 of the
+lower bound that the row duals of HiGHS's final basis, sign-corrected,
+prove for every feasible point (dual side).  ``_basis_duals`` solves for
+those duals with HiGHS's own factor of the basis and refines them once on
+the unscaled data; HiGHS's reported row duals are not read.
 """
 
 from __future__ import annotations
@@ -115,6 +128,12 @@ class LinearProgram:
     ``a`` is a ``CooMatrix`` of shape (b.size, c.size).  ``a[rows]`` densifies
     the selected rows, for reference code only; the solve, ``max_violation``,
     ``certify`` and ``dump`` read the triplets.
+
+    ``mirror``, when given, pairs the rows under reversal of the variables
+    (x[j] <-> x[nv-1-j]): it maps row k onto row mirror[k], an involution
+    with equal b and rel, and c, lo and hi read the same reversed.  It is
+    checked exactly here, and a wrong one is refused with ``ValueError``;
+    ``solve_lp`` uses it to solve on half the variables.
     """
 
     c: np.ndarray
@@ -123,6 +142,7 @@ class LinearProgram:
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -152,6 +172,27 @@ class LinearProgram:
             raise ValueError("bound arrays disagree with variable count")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
+        if self.mirror is not None:
+            self._check_mirror()
+
+    def _check_mirror(self) -> None:
+        m, nv = self.a.shape
+        mirror = _whole_array(self.mirror, np.intp, "mirror entries must be whole numbers")
+        if mirror.shape != (m,) or (m and not (mirror.min() >= 0 and mirror.max() < m)):
+            raise ValueError(f"mirror must hold one row index in [0, {m}) per row")
+        # the triplets, each moved to its mirror row and reversed column, must
+        # be the triplets again: as keys sorted like CooMatrix's, the same keys and data
+        a = self.a
+        keys = (nv - 1 - a.col) * m + mirror[a.row]
+        order = np.argsort(keys)
+        if not (np.array_equal(mirror[mirror], np.arange(m))
+                and np.array_equal(self.b[mirror], self.b)
+                and np.array_equal(self.rel[mirror], self.rel)
+                and all(np.array_equal(v[::-1], v) for v in (self.c, self.lo, self.hi))
+                and np.array_equal(keys[order], a.col * m + a.row)
+                and np.array_equal(a.data[order], a.data)):
+            raise ValueError("reversing the variables does not map each row onto its mirror")
+        self.mirror = mirror
 
     @property
     def num_vars(self) -> int:
@@ -258,6 +299,13 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
             data.append(np.full(p.size, -k))
         start += p.size
 
+    # rotating the grid by 180 degrees (reversing the variables) maps each
+    # block onto itself in reverse; F and S rows have no such mirror
+    mirror = None
+    if not {"F", "S"} & props and np.array_equal(c, c[::-1]):
+        starts = np.cumsum(counts) - counts
+        mirror = np.repeat(2 * starts + counts - 1, counts) - np.arange(start)
+
     return LinearProgram(
         c=c,
         a=CooMatrix(np.concatenate(row), np.concatenate(col), np.concatenate(data), (start, nv)),
@@ -266,6 +314,7 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         lo=np.zeros(nv),
         # no x <= 1 bound: x >= 0 and the column sums already cap every cell at 1
         hi=np.full(nv, np.inf),
+        mirror=mirror,
     )
 
 
@@ -369,23 +418,69 @@ def _basis_duals(lp: LinearProgram, highs, basic: np.ndarray) -> np.ndarray:
     return y + solve(c_b - bt_y)
 
 
+def _fold(lp: LinearProgram):
+    """The LP on one variable per orbit {j, nv-1-j} and one row per pair
+    {r, lp.mirror[r]}, and the map of its (x, y) to the same point and duals of lp.
+
+    Orbit o < nv - o - 1 holds columns o and nv-1-o, merged with their costs
+    summed; the first row of each pair stands for both.  For symmetric x the
+    two rows of a pair are one condition, and the optimum of lp may be taken
+    symmetric: averaging a feasible point with its reverse keeps it feasible
+    at the same cost.  Each row dual is the folded one, halved on a row that
+    is not its own mirror; then c - a'y is half the folded reduced cost on a
+    paired column and equal to it on the centre column, and b.y = b_f.y_f.
+    """
+    m, nv = lp.a.shape
+    nf = (nv + 1) // 2
+    orbit = np.minimum(np.arange(nv), np.arange(nv - 1, -1, -1))
+    rows = np.arange(m)
+    keep = rows <= lp.mirror
+    index = np.cumsum(keep) - 1
+    mf = int(np.count_nonzero(keep))
+    a = lp.a
+    taken = keep[a.row]
+    # entries of a kept row on the two columns of an orbit add up, and may
+    # cancel: x0 - x1 >= 0 folds to 0 >= 0
+    keys, where = np.unique(orbit[a.col[taken]] * mf + index[a.row[taken]], return_inverse=True)
+    data = np.bincount(where, a.data[taken])
+    nonzero = data != 0.0
+    folded = LinearProgram(
+        c=np.bincount(orbit, lp.c),
+        a=CooMatrix(keys[nonzero] % mf, keys[nonzero] // mf, data[nonzero], (mf, nf)),
+        rel=lp.rel[keep],
+        b=lp.b[keep],
+        lo=lp.lo[:nf],
+        hi=lp.hi[:nf],
+    )
+    share = np.where(lp.mirror == rows, 1.0, 2.0)
+    rep = index[np.minimum(rows, lp.mirror)]
+    return folded, lambda z, y: (z[orbit], y[rep] / share)
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS's simplex; never raises for infeasible/unbounded.
 
-    An ``optimal`` answer has passed ``certify`` with the duals of
-    ``_basis_duals``.  Raises ``NumericalInstability`` when it does not, or
-    when HiGHS ends in any other state or refuses a basis call.
+    An LP with a ``mirror`` is solved folded (``_fold``): HiGHS gets one
+    variable per pair {j, nv-1-j} and one row per mirror pair, and the
+    answer is expanded to a point with x[j] == x[nv-1-j] and to duals of
+    ``lp``'s own rows.  The optimal cost is the same; which optimum is
+    returned is not.  An LP without a mirror goes to HiGHS as it is.
+
+    Either way an ``optimal`` answer has passed ``certify`` on ``lp`` itself,
+    with the duals of ``_basis_duals``.  Raises ``NumericalInstability`` when
+    it does not, or when HiGHS ends in any other state or refuses a basis call.
     """
     if not np.all(np.isfinite(lp.lo)):
         raise ValueError("solve_lp requires finite lower bounds")
+    problem, lift = (lp, None) if lp.mirror is None else _fold(lp)
     h = _highs()
-    nv, m = lp.num_vars, lp.num_constraints
+    nv, m = problem.num_vars, problem.num_constraints
     model = h.HighsLp()
     model.num_col_, model.num_row_ = nv, m
-    model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, lp.lo, lp.hi
-    model.row_lower_, model.row_upper_ = _row_bounds(lp)
+    model.col_cost_, model.col_lower_, model.col_upper_ = problem.c, problem.lo, problem.hi
+    model.row_lower_, model.row_upper_ = _row_bounds(problem)
     # CooMatrix keeps its triplets in compressed-column order
-    a = lp.a
+    a = problem.a
     matrix = model.a_matrix_
     matrix.format_ = h.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = nv, m
@@ -410,7 +505,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     status, basic = highs.getBasicVariables()
     if status != h.HighsStatus.kOk:
         raise NumericalInstability(f"HiGHS's basis read ended with {status.name}")
-    certify(lp, x, _basis_duals(lp, highs, basic))
+    y = _basis_duals(problem, highs, basic)
+    if lift is not None:
+        x, y = lift(x, y)
+    certify(lp, x, y)
     return LpSolution(
         status=STATUS_OPTIMAL,
         values=x,

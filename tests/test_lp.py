@@ -1,5 +1,6 @@
 """LP construction, the HiGHS solve and its certificate, and mechanism design."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -54,7 +55,7 @@ from dpmech import lp as lp_module
 from dpmech.errors import DimensionMismatch, NumericalInstability
 
 
-def _mk(c, rows, rels, rhs, lo=None, hi=None):
+def _mk(c, rows, rels, rhs, lo=None, hi=None, mirror=None):
     c = np.asarray(c, dtype=float)
     nv = c.size
     return LinearProgram(
@@ -64,6 +65,7 @@ def _mk(c, rows, rels, rhs, lo=None, hi=None):
         b=np.asarray(rhs, dtype=float),
         lo=np.zeros(nv) if lo is None else np.asarray(lo, dtype=float),
         hi=np.full(nv, np.inf) if hi is None else np.asarray(hi, dtype=float),
+        mirror=mirror,
     )
 
 
@@ -465,12 +467,13 @@ class TestCertify:
 class TestBasisDuals:
     @staticmethod
     def _spy(monkeypatch):
-        """Record each (basic, y) that ``solve_lp`` takes from ``_basis_duals``."""
+        """Record each (lp, basic, y) that ``solve_lp`` takes from ``_basis_duals``;
+        lp is the LP that HiGHS solved, folded when ``solve_lp`` folds."""
         calls = []
 
         def spy(lp, highs, basic):
             y = _basis_duals(lp, highs, basic)
-            calls.append((basic.copy(), y))
+            calls.append((lp, basic.copy(), y))
             return y
 
         monkeypatch.setattr(lp_module, "_basis_duals", spy)
@@ -482,18 +485,20 @@ class TestBasisDuals:
         calls = self._spy(monkeypatch)
         lp = _mk([1.0, 2.0], [[1.0, 1.0], [1.0, 0.0]], [REL_GE, REL_LE], [1.0, 5.0])
         sol = solve_lp(lp)
-        [(basic, y)] = calls
+        [(solved, basic, y)] = calls
+        assert solved is lp
         assert sorted(basic.tolist()) == [-2, 0]
         assert y.tolist() == [1.0, 0.0]
         certify(lp, sol.values, y)
 
     def test_refined_duals_solve_the_basis_to_rounding(self, monkeypatch):
-        # HiGHS's row duals, and its basis solve unrefined or refined on an
-        # unscaled right-hand side, all leave about 2.8e-7 here
+        # on the unfolded LP, HiGHS's row duals, and its basis solve unrefined
+        # or refined on an unscaled right-hand side, all leave about 2.8e-7;
+        # solve_lp folds this LP, so the residual is taken on the LP HiGHS solved
         calls = self._spy(monkeypatch)
-        lp = build_lp(32, 0.3, frozenset(), l1_objective(32))
-        solve_lp(lp)
-        [(basic, y)] = calls
+        solve_lp(build_lp(32, 0.3, frozenset(), l1_objective(32)))
+        [(lp, basic, y)] = calls
+        assert lp.num_vars == (33 * 33 + 1) // 2
         structural = basic >= 0
         bt_y = np.where(structural, (lp.a.toarray().T @ y)[np.maximum(basic, 0)],
                         y[-1 - np.minimum(basic, -1)])
@@ -520,6 +525,106 @@ class TestBasisDuals:
         lp = _mk([1.0, 1.0], [[1.0, 1.0]], [REL_GE], [2.0])
         with pytest.raises(NumericalInstability, match="ended with kError"):
             solve_lp(lp)
+
+
+_FOLDABLE = tuple(p for p in PROPERTIES if p not in ("F", "S"))
+
+
+class TestFold:
+    """LPs that ``build_lp`` gives a mirror are solved on half the variables."""
+
+    @staticmethod
+    def _solved(monkeypatch, lp):
+        """solve_lp(lp), and the LP that HiGHS solved."""
+        calls = TestBasisDuals._spy(monkeypatch)
+        sol = solve_lp(lp)
+        [(problem, _, _)] = calls
+        return sol, problem
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_mirror_validates_for_every_property_subset(self, n):
+        # LinearProgram checks the mirror as build_lp constructs it
+        for size in range(len(PROPERTIES) + 1):
+            for props in combinations(PROPERTIES, size):
+                for objective in (l0_objective, l1_objective):
+                    lp = build_lp(n, 0.62, frozenset(props), objective(n))
+                    foldable = not {"F", "S"} & set(props)
+                    assert (lp.mirror is not None) == foldable, props
+                    if foldable:
+                        rows = np.arange(lp.num_constraints)
+                        assert np.array_equal(lp.mirror[lp.mirror], rows), props
+
+    @pytest.mark.parametrize("props, weights", [
+        (("F",), None), (("S",), None), (("WH", "CM", "F"), None), (("RM", "S"), None),
+        (("WH", "CM"), [0.1, 0.2, 0.3, 0.4]), ((), [0.4, 0.3, 0.2, 0.1]),
+    ], ids=["F", "S", "WH+CM+F", "RM+S", "WH+CM-skewed", "none-skewed"])
+    def test_unfoldable_lps_go_to_highs_as_they_are(self, monkeypatch, props, weights):
+        obj = l1_objective(3) if weights is None else Objective(p=1, weights=weights)
+        lp = build_lp(3, 0.62, frozenset(props), obj)
+        assert lp.mirror is None
+        sol, problem = self._solved(monkeypatch, lp)
+        assert problem is lp
+        assert sol.status == STATUS_OPTIMAL
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_folded_cost_matches_unfolded(self, monkeypatch, n):
+        for alpha in (0.3, 0.9):
+            for props in ((), ("WH",), ("WH", "CM"), ("WH", "RM", "CM"), _FOLDABLE):
+                for objective in (l0_objective, l1_objective, l2_objective):
+                    lp = build_lp(n, alpha, frozenset(props), objective(n))
+                    full = solve_lp(dataclasses.replace(lp, mirror=None))
+                    with monkeypatch.context() as patch:
+                        sol, problem = self._solved(patch, lp)
+                    assert problem.num_vars == ((n + 1) ** 2 + 1) // 2
+                    assert abs(sol.objective_value - full.objective_value) <= 1e-12, props
+                    assert np.array_equal(sol.values, sol.values[::-1]), props
+
+    def test_rows_that_are_their_own_mirror_or_cancel(self):
+        # min x0 + x1 s.t. x0 + x1 >= 2 and 2 x0 + 2 x1 <= 9: both rows map onto
+        # themselves, so their duals are taken whole and b.y is 2 either way;
+        # x0 - x1 >= 0 and its mirror x1 - x0 >= 0 fold to an empty row
+        lp = _mk([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0], [1.0, -1.0], [-1.0, 1.0]],
+                 [REL_GE, REL_LE, REL_GE, REL_GE], [2.0, 9.0, 0.0, 0.0], mirror=[0, 1, 3, 2])
+        sol = solve_lp(lp)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.values.tolist() == [1.0, 1.0] and sol.objective_value == 2.0
+
+    @pytest.mark.parametrize("rows, rels, rhs, status", [
+        ([[1.0, 1.0], [1.0, 1.0]], [REL_GE, REL_LE], [2.0, 1.0], STATUS_INFEASIBLE),
+        (np.zeros((0, 2)), [], [], STATUS_UNBOUNDED),
+    ], ids=["infeasible", "unbounded"])
+    def test_folded_status_is_the_lps(self, rows, rels, rhs, status):
+        lp = _mk([-1.0, -1.0], rows, rels, rhs, mirror=np.arange(len(rhs)))
+        assert solve_lp(lp).status == status
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda lp: np.arange(lp.num_constraints), "does not map"),
+        (lambda lp: np.roll(lp.mirror, 1), "does not map"),
+        (lambda lp: lp.mirror[:-1], "one row index"),
+        (lambda lp: np.where(lp.mirror == 0, lp.num_constraints, lp.mirror), "one row index"),
+        (lambda lp: lp.mirror + 0.5, "whole numbers"),
+    ], ids=["identity", "rolled", "short", "out-of-range", "fractional"])
+    def test_wrong_mirror_is_refused(self, change, message):
+        lp = build_lp(3, 0.62, {"WH", "RM"}, l1_objective(3))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(lp, mirror=change(lp))
+
+    @pytest.mark.parametrize("field", ["c", "b"])
+    def test_mirror_of_an_asymmetric_lp_is_refused(self, field):
+        lp = build_lp(3, 0.62, {"WH"}, l1_objective(3))
+        skewed = getattr(lp, field).copy()
+        skewed[0] += 0.25
+        with pytest.raises(ValueError, match="does not map"):
+            dataclasses.replace(lp, **{field: skewed})
+
+    def test_corrupted_folded_duals_are_refused(self, monkeypatch):
+        # certify reads the full LP, so duals that prove too little still fail it
+        def weak(lp, highs, basic):
+            return 0.5 * _basis_duals(lp, highs, basic)
+
+        monkeypatch.setattr(lp_module, "_basis_duals", weak)
+        with pytest.raises(NumericalInstability, match="dual bound"):
+            solve_lp(build_lp(6, 0.62, {"WH", "CM"}, l1_objective(6)))
 
 
 class TestHighsLoader:
