@@ -9,7 +9,6 @@ freely across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ def _whole_array(values, dtype, rule: str) -> np.ndarray:
 class Mechanism:
     """Validated, immutable column-stochastic mechanism matrix."""
 
-    # __weakref__ lets the sampler remember its last draw without keeping
+    # __weakref__ lets a population remember its last draw without keeping
     # the mechanism alive; that memo relies on no attribute being rebound
     __slots__ = ("matrix", "n", "__weakref__")
 
@@ -310,16 +309,8 @@ def _tail_costs(mech: Mechanism) -> np.ndarray:
     n = mech.n
     if n == 0:
         raise UndefinedForN0("tail costs are undefined for n=0")
-    bands = np.bincount(_distances(n), mech.matrix.ravel(), n + 1)
+    bands = np.bincount(_by_distance(np.arange(n + 1)).ravel(), mech.matrix.ravel(), n + 1)
     return np.cumsum(bands[::-1])[::-1] / n
-
-
-@functools.lru_cache(maxsize=8)
-def _distances(n: int) -> np.ndarray:
-    """|i-j| over the (n+1) x (n+1) grid, raveled row-major; read-only, as it is shared."""
-    grid = _by_distance(np.arange(n + 1)).ravel()
-    grid.flags.writeable = False
-    return grid
 
 
 def l0_score(mech: Mechanism) -> float:

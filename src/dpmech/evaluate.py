@@ -12,11 +12,12 @@ finds that number by bisection over the column, O(log n) per group.
 
 One draw serves every statistic: `empirical_l0d` (at any d) and
 `empirical_rmse` read each rep's histogram of signed errors (output minus
-true count), and the last draw's histograms are remembered.  So there is one
-draw per (mechanism, population, seed, reps), where the mechanism and the
-population are the same objects, not merely equal ones; any other call draws
-again and replaces the remembered one.  The memo holds reps x (2n+1) counts
-and only weak references to its inputs, so it keeps no caller's object alive.
+true count), and each population remembers its last draw's histograms.  So
+there is one draw per (mechanism, population, seed, reps), where the
+mechanism and the population are the same objects, not merely equal ones;
+any other call draws again and replaces that population's remembered draw.
+A population holds reps x (2n+1) counts and only a weak reference to the
+mechanism, so its memo keeps no other caller's object alive.
 
 CSV ingest is `ingest_groups`, a numpy block scan and then a csv.reader
 row loop over one read of a file or a pipe.
@@ -85,6 +86,10 @@ class GroupCounts:
             raise ValueError(f"counts must lie in [0, {self.n}]")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+
+    def __reduce__(self):
+        # pickles and copies are validated afresh and leave out the remembered draw
+        return GroupCounts, (self.n, self.counts)
 
     @property
     def num_groups(self) -> int:
@@ -293,9 +298,10 @@ def ingest_groups(csv_path, column: str, group_size: int,
     not valid UTF-8, whichever comes first in the file: every record before the
     first line with a non-UTF-8 byte is checked first.
 
-    A file and a pipe are read alike, once and in order.  numpy scans 256 KiB
-    blocks of whole lines while every line is plain (valid UTF-8, no quote,
-    NUL or lone '\\r', shorter than the csv field size limit) and has a
+    A file and a pipe are read alike, once and in order.  After a header
+    that is plain but for its quotes and ends on its first line, numpy scans
+    256 KiB blocks of whole lines while every line is plain (valid UTF-8, no
+    quote, NUL or lone '\\r', shorter than the csv field size limit) and has a
     non-blank target cell of at most 8 bytes that passes its check.  From
     the first block the scan declines, the csv.reader row loop reads the
     rest with the bits, memo and line count so far, and raises any error.
@@ -335,9 +341,14 @@ def ingest_groups(csv_path, column: str, group_size: int,
     with open(csv_path, "rb") as fh:
         # bytes read but not yet scanned: the unparsed header, then a block's partial last line
         rest = fh.readline(_BLOCK)
-        if rest.endswith(b"\n") and len(rest) < csv.field_size_limit() and _plain(rest):
-            col = _column_of(next(csv.reader([rest.decode("utf-8-sig")])), csv_path, column)
-            rest = b""
+        # a header plain but for its quotes is parsed here, unless a quoted
+        # field runs on past this line, which leaves '\n' in its last field
+        if (rest.endswith(b"\n") and len(rest) < csv.field_size_limit()
+                and _plain(rest.replace(b'"', b"_"))):
+            header = next(csv.reader([rest.decode("utf-8-sig")]))
+            if not (header and header[-1].endswith("\n")):
+                col = _column_of(header, csv_path, column)
+                rest = b""
         while col is not None:
             rest += fh.read(_BLOCK)
             cut = rest.rfind(b"\n") + 1
@@ -395,10 +406,6 @@ def ingest_groups(csv_path, column: str, group_size: int,
 # empirical metrics
 # ---------------------------------------------------------------------------
 
-#: the last draw's (weakref to mech, weakref to groups, seed, reps, histogram)
-_last_draw = None
-
-
 def _error_counts(mech: Mechanism, groups: GroupCounts, seed: int, reps: int) -> np.ndarray:
     """Read-only (reps, 2n+1) int64 array whose row r counts the groups of
     rep r by signed error: column e + n holds the groups with output - count == e.
@@ -409,16 +416,14 @@ def _error_counts(mech: Mechanism, groups: GroupCounts, seed: int, reps: int) ->
     as the draw rule's cap at n asks.  A branchless bisection over the row
     finds it in log2(width) gathers.
 
-    The last call's array is remembered and returned again for the same
-    mechanism and population objects (by identity), seed and reps.  Both
-    inputs are immutable, and the memo holds them only by weak reference.
+    groups remembers its last array as ``groups._draw``, (weak reference to
+    mech, seed, reps, array), and it is returned again for the same
+    mechanism object (by identity), seed and reps.  Both inputs are immutable.
     """
-    global _last_draw
     # read once: another thread may replace the memo, and each entry is whole
-    last = _last_draw
-    if (last is not None and last[0]() is mech and last[1]() is groups
-            and last[2] == seed and last[3] == reps):
-        return last[4]
+    last = getattr(groups, "_draw", None)
+    if last is not None and last[0]() is mech and last[1:3] == (seed, reps):
+        return last[3]
     if mech.n != groups.n:
         raise DimensionMismatch(
             f"mechanism size {mech.n} does not match group size {groups.n}")
@@ -457,7 +462,7 @@ def _error_counts(mech: Mechanism, groups: GroupCounts, seed: int, reps: int) ->
         pos += shift
         hist[r] = np.bincount(pos, minlength=2 * n + 1)
     hist.setflags(write=False)
-    _last_draw = (weakref.ref(mech), weakref.ref(groups), seed, reps, hist)
+    object.__setattr__(groups, "_draw", (weakref.ref(mech), seed, reps, hist))
     return hist
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpmech import Mechanism, evaluate, is_dp
+from dpmech import Mechanism, is_dp
 
 # alpha grids used across modules: the 7-value closed-form grid and the
 # 5-value grid used for the heavier LP reproductions
@@ -89,10 +89,3 @@ def run_fresh(code: str) -> str:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture(autouse=True)
-def _no_remembered_draw():
-    """Start every test without the sampler's remembered draw, so the order
-    tests run in cannot change what they see."""
-    evaluate._last_draw = None

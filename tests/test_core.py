@@ -318,14 +318,6 @@ class TestL0Score:
                                                rescale=True)
                     assert l0d_score(m, d) == pytest.approx(expected, abs=1e-12)
 
-    def test_distance_grid_is_cached_read_only(self):
-        from dpmech.core import _by_distance, _distances
-        grid = _distances(5)
-        assert grid is _distances(5)
-        assert np.array_equal(grid, _by_distance(np.arange(6)).ravel())
-        with pytest.raises(ValueError, match="read-only"):
-            grid[0] = 1
-
     def test_l0d_score_errors(self):
         with pytest.raises(UndefinedForN0):
             l0d_score(Mechanism([[1.0]]), 0)

@@ -1,6 +1,8 @@
 """CSV ingestion, predicate parsing and the seeded empirical metrics."""
 
+import copy
 import gc
+import pickle
 import re
 import weakref
 
@@ -504,3 +506,26 @@ class TestOneDraw:
         del mech, groups
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_each_population_keeps_its_own_draw(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        mech, g1 = self._objects()
+        g2 = GroupCounts(n=5, counts=g1.counts[::-1])
+        for groups in (g1, g2, g1):
+            empirical_rmse(mech, groups, EvalConfig(reps=2, seed=9))
+        assert calls == [(9, 0), (9, 1)] * 2
+        # a population rebuilt with the same counts is another object
+        empirical_rmse(mech, GroupCounts(n=5, counts=g1.counts), EvalConfig(reps=2, seed=9))
+        assert len(calls) == 6
+
+    def test_pickles_and_copies_leave_the_draw_out(self, monkeypatch):
+        mech, groups = self._objects()
+        empirical_rmse(mech, groups, EvalConfig(reps=2, seed=9))
+        calls = self._counting(monkeypatch)
+        for twin in (pickle.loads(pickle.dumps(groups)), copy.copy(groups),
+                     copy.deepcopy(groups)):
+            assert twin is not groups and np.array_equal(twin.counts, groups.counts)
+            assert not twin.counts.flags.writeable
+            assert not hasattr(twin, "_draw")
+            empirical_rmse(mech, twin, EvalConfig(reps=2, seed=9))
+        assert len(calls) == 6

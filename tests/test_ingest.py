@@ -177,9 +177,37 @@ def test_utf8_bom_is_skipped(tmp_path):
     _, pred = parse_predicate("age>=65")
     assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
     assert ingest_groups(path, "flag", 2).counts.tolist() == [1]
-    # a quoted header goes to the row loop, which skips the mark too
+    # and so does a quoted header
     path.write_bytes(b'\xef\xbb\xbf"age",flag\n70,1\n20,0\n')
     assert ingest_groups(path, "age", 1, predicate=pred).counts.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("tail", ["", "x,2\n"], ids=["counts", "bad-bit"])
+@pytest.mark.parametrize("header, column, scanned", [
+    ('"age","flag"\n', "flag", True),
+    ('"age","flag"\r\n', "flag", True),
+    ('\ufeff"age",flag\n', "flag", True),
+    ('"a""ge","fl,ag"\n', "fl,ag", True),
+    ('ag"e,"flag"\n', "flag", True),
+    ('"age","fl\nag"\n', "fl\nag", False),
+    ('"age","flag""\n"\n', 'flag"', False),
+    ('"age","flag\n', "flag", False),
+    ('"a\rge","flag"\n', "flag", False),
+    ('"a\x00ge","flag"\n', "flag", False),
+], ids=["quoted", "crlf", "bom", "escape-and-comma", "inner-quote", "spans-lines",
+        "escape-then-newline", "unclosed", "lone-cr", "nul"])
+def test_a_quoted_header_ending_on_its_line_is_parsed_before_the_scan(
+        tmp_path, monkeypatch, header, column, scanned, tail):
+    # a header plain but for its quotes hands the rows to the block scan; one
+    # whose record runs on past its first line is read by the row loop
+    block_cells, seen = evaluate._block_cells, []
+    monkeypatch.setattr(evaluate, "_block_cells",
+                        lambda buf, col: seen.append(buf) or block_cells(buf, col))
+    path = tmp_path / "data.csv"
+    path.write_bytes((header + "70,1\n20,0\n" * 3 + tail).encode())
+    assert (_outcome(ingest_groups, path, column, 2, None)
+            == _outcome(_ingest_reference.ingest_groups, path, column, 2, None))
+    assert bool(seen) == scanned
 
 
 def test_lone_cr_line_ends_are_read_in_bounded_memory(tmp_path):
@@ -287,7 +315,9 @@ def test_a_pipe_is_scanned_in_the_blocks_of_a_file(tmp_path, monkeypatch, block)
 @pytest.mark.parametrize("text", [
     b"age,flag\n70,1\nS\xe9te,0\n",
     b"age,flag\n" + b"70,1\n" * 10_000 + b"S\xe9te,0\n",
-], ids=["first-chunk", "later-chunk"])
+    # the header's bytes would be UTF-8 with its quote taken out
+    b'"S\xc3"\xa9te",flag\n70,1\n',
+], ids=["first-chunk", "later-chunk", "split-by-quote"])
 def test_non_utf8_file_is_a_parse_error(tmp_path, monkeypatch, text):
     # with 64-byte blocks the later chunk's bad byte is 833 blocks in
     monkeypatch.setattr(evaluate, "_BLOCK", 64)

@@ -665,6 +665,17 @@ class TestHighsLoader:
         steps = [self._SCIPY, self._SOLVE] if first == "scipy" else [self._SOLVE, self._SCIPY]
         run_fresh("".join(steps) + self._SAME)
 
+    def test_a_binding_file_not_found_is_imported_by_name(self):
+        # with scipy hidden from the loader's file lookup, _highs imports the
+        # binding, and so scipy.optimize, through the import system
+        run_fresh("import importlib.util, sys\n"
+                  "find_spec = importlib.util.find_spec\n"
+                  "importlib.util.find_spec = lambda name, *args: (\n"
+                  "    None if name == 'scipy' else find_spec(name, *args))\n"
+                  + self._SOLVE +
+                  "assert 'scipy.optimize' in sys.modules\n"
+                  "assert lp._highs() is sys.modules['scipy.optimize._highspy._core']\n")
+
 
 class TestDesignMechanism:
     def test_n1_gives_randomized_response(self):
