@@ -67,6 +67,8 @@ def _load_weights(spec: str, n: int):
     except UnicodeDecodeError as exc:
         raise ValueError(f"{spec}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x} "
                          f"at offset {exc.start})") from None
+    if not tokens:
+        raise ValueError(f"{spec}: holds no weights")
     values = []
     for token in tokens:
         try:

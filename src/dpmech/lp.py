@@ -22,14 +22,16 @@ Rotating a mechanism by 180 degrees, x[i, j] -> x[n-i, n-j], reverses the
 variables.  It maps the column sums, the privacy rows and the RH, RM, CH,
 CM and WH rows each onto a row of the same block, in reverse order, and
 keeps the l0, l1 and l2 costs under weights that read the same reversed;
-so an optimum averaged with its rotation is an optimum.  ``build_lp``
-records that row map as the LP's ``mirror`` when the costs read the same
-reversed and neither F nor S is asked for, and ``LinearProgram`` checks it
-exactly.  ``solve_lp`` then gives HiGHS the folded LP, one variable per
+so an optimum averaged with its rotation is an optimum.  ``build_lp``, and
+nothing else, records that row map on the LP it returns (the private
+``_mirror``) when the costs read the same reversed and neither F nor S is
+asked for.  ``solve_lp`` then gives HiGHS the folded LP, one variable per
 pair of cells {j, nv-1-j} and one row per mirror pair, about half the
 size, and expands its answer to a centrosymmetric point and to duals of
 the full LP.  F and S rows have no mirror, so those LPs, and the ones with
-asymmetric weights, go to HiGHS as they are.
+asymmetric weights, go to HiGHS as they are.  The map is not checked at
+run time: a wrong one fails loudly (see ``solve_lp``), and the tests check
+``build_lp``'s maps exactly.
 
 An ``optimal`` answer is a checked claim, by ``certify`` on the data of the
 LP the caller passed, folded or not: the point breaks no row or bound by
@@ -48,7 +50,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,11 +131,11 @@ class LinearProgram:
     the selected rows, for reference code only; the solve, ``max_violation``,
     ``certify`` and ``dump`` read the triplets.
 
-    ``mirror``, when given, pairs the rows under reversal of the variables
-    (x[j] <-> x[nv-1-j]): it maps row k onto row mirror[k], an involution
-    with equal b and rel, and c, lo and hi read the same reversed.  It is
-    checked exactly here, and a wrong one is refused with ``ValueError``;
-    ``solve_lp`` uses it to solve on half the variables.
+    ``_mirror`` is not a constructor argument: ``build_lp`` sets it on a
+    centrosymmetric design LP, to pair row k with row _mirror[k] under
+    reversal of the variables (x[j] <-> x[nv-1-j]), and ``solve_lp`` then
+    solves on half the variables.  ``dataclasses.replace(lp)`` gives the
+    same LP without it.
     """
 
     c: np.ndarray
@@ -142,7 +144,7 @@ class LinearProgram:
     b: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    mirror: np.ndarray | None = None
+    _mirror: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -172,27 +174,6 @@ class LinearProgram:
             raise ValueError("bound arrays disagree with variable count")
         if np.any(self.lo > self.hi):
             raise ValueError("lower bound exceeds upper bound")
-        if self.mirror is not None:
-            self._check_mirror()
-
-    def _check_mirror(self) -> None:
-        m, nv = self.a.shape
-        mirror = _whole_array(self.mirror, np.intp, "mirror entries must be whole numbers")
-        if mirror.shape != (m,) or (m and not (mirror.min() >= 0 and mirror.max() < m)):
-            raise ValueError(f"mirror must hold one row index in [0, {m}) per row")
-        # the triplets, each moved to its mirror row and reversed column, must
-        # be the triplets again: as keys sorted like CooMatrix's, the same keys and data
-        a = self.a
-        keys = (nv - 1 - a.col) * m + mirror[a.row]
-        order = np.argsort(keys)
-        if not (np.array_equal(mirror[mirror], np.arange(m))
-                and np.array_equal(self.b[mirror], self.b)
-                and np.array_equal(self.rel[mirror], self.rel)
-                and all(np.array_equal(v[::-1], v) for v in (self.c, self.lo, self.hi))
-                and np.array_equal(keys[order], a.col * m + a.row)
-                and np.array_equal(a.data[order], a.data)):
-            raise ValueError("reversing the variables does not map each row onto its mirror")
-        self.mirror = mirror
 
     @property
     def num_vars(self) -> int:
@@ -299,14 +280,7 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
             data.append(np.full(p.size, -k))
         start += p.size
 
-    # rotating the grid by 180 degrees (reversing the variables) maps each
-    # block onto itself in reverse; F and S rows have no such mirror
-    mirror = None
-    if not {"F", "S"} & props and np.array_equal(c, c[::-1]):
-        starts = np.cumsum(counts) - counts
-        mirror = np.repeat(2 * starts + counts - 1, counts) - np.arange(start)
-
-    return LinearProgram(
+    lp = LinearProgram(
         c=c,
         a=CooMatrix(np.concatenate(row), np.concatenate(col), np.concatenate(data), (start, nv)),
         rel=rel,
@@ -314,8 +288,13 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         lo=np.zeros(nv),
         # no x <= 1 bound: x >= 0 and the column sums already cap every cell at 1
         hi=np.full(nv, np.inf),
-        mirror=mirror,
     )
+    # rotating the grid by 180 degrees (reversing the variables) maps each
+    # block onto itself in reverse; F and S rows have no such mirror
+    if not {"F", "S"} & props and np.array_equal(c, c[::-1]):
+        starts = np.cumsum(counts) - counts
+        lp._mirror = np.repeat(2 * starts + counts - 1, counts) - np.arange(start)
+    return lp
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +399,7 @@ def _basis_duals(lp: LinearProgram, highs, basic: np.ndarray) -> np.ndarray:
 
 def _fold(lp: LinearProgram):
     """The LP on one variable per orbit {j, nv-1-j} and one row per pair
-    {r, lp.mirror[r]}, and the map of its (x, y) to the same point and duals of lp.
+    {r, lp._mirror[r]}, and the map of its (x, y) to the same point and duals of lp.
 
     Orbit o < nv - o - 1 holds columns o and nv-1-o, merged with their costs
     summed; the first row of each pair stands for both.  For symmetric x the
@@ -430,11 +409,12 @@ def _fold(lp: LinearProgram):
     is not its own mirror; then c - a'y is half the folded reduced cost on a
     paired column and equal to it on the centre column, and b.y = b_f.y_f.
     """
+    mirror = lp._mirror
     m, nv = lp.a.shape
     nf = (nv + 1) // 2
     orbit = np.minimum(np.arange(nv), np.arange(nv - 1, -1, -1))
     rows = np.arange(m)
-    keep = rows <= lp.mirror
+    keep = rows <= mirror
     index = np.cumsum(keep) - 1
     mf = int(np.count_nonzero(keep))
     a = lp.a
@@ -452,27 +432,35 @@ def _fold(lp: LinearProgram):
         lo=lp.lo[:nf],
         hi=lp.hi[:nf],
     )
-    share = np.where(lp.mirror == rows, 1.0, 2.0)
-    rep = index[np.minimum(rows, lp.mirror)]
+    share = np.where(mirror == rows, 1.0, 2.0)
+    rep = index[np.minimum(rows, mirror)]
     return folded, lambda z, y: (z[orbit], y[rep] / share)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS's simplex; never raises for infeasible/unbounded.
 
-    An LP with a ``mirror`` is solved folded (``_fold``): HiGHS gets one
-    variable per pair {j, nv-1-j} and one row per mirror pair, and the
-    answer is expanded to a point with x[j] == x[nv-1-j] and to duals of
-    ``lp``'s own rows.  The optimal cost is the same; which optimum is
-    returned is not.  An LP without a mirror goes to HiGHS as it is.
+    An LP on which ``build_lp`` recorded a ``_mirror`` is solved folded
+    (``_fold``): HiGHS gets one variable per pair {j, nv-1-j} and one row per
+    mirror pair, and the answer is expanded to a point with x[j] == x[nv-1-j]
+    and to duals of ``lp``'s own rows.  The optimal cost is the same; which
+    optimum is returned is not.  Any other LP goes to HiGHS as it is.
 
     Either way an ``optimal`` answer has passed ``certify`` on ``lp`` itself,
     with the duals of ``_basis_duals``.  Raises ``NumericalInstability`` when
     it does not, or when HiGHS ends in any other state or refuses a basis call.
+
+    So a wrong ``_mirror`` fails loudly.  A design LP admits the uniform
+    mechanism, which is centrosymmetric, so its fold under any row map is
+    feasible, and it is bounded because no cell cost is negative.  The
+    expanded point then either breaks a row of ``lp``, or lies above the
+    bound that the expanded duals prove, and ``certify`` refuses it; or it
+    is optimal for ``lp`` within 1e-9.  It is never ``infeasible``,
+    ``unbounded`` or costlier.
     """
     if not np.all(np.isfinite(lp.lo)):
         raise ValueError("solve_lp requires finite lower bounds")
-    problem, lift = (lp, None) if lp.mirror is None else _fold(lp)
+    problem, lift = (lp, None) if lp._mirror is None else _fold(lp)
     h = _highs()
     nv, m = problem.num_vars, problem.num_constraints
     model = h.HighsLp()

@@ -443,6 +443,8 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, c
 @pytest.mark.parametrize("content, message", [
     (b"0.25 0.25\n0.25 x\n", "w.txt: weight 'x' is not a number"),
     (b"0.25 0.25\n0.25 S\xe9\n", "w.txt: not valid UTF-8 (byte 0xe9 at offset 16)"),
+    (b"", "w.txt: holds no weights"),
+    (b" ,\n\t, \n", "w.txt: holds no weights"),
 ])
 def test_design_bad_weights_file_names_the_file_and_token(tmp_path, capsys, monkeypatch,
                                                            content, message):
