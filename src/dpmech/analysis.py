@@ -33,7 +33,6 @@ def gm_derivable(mech: Mechanism, alpha: float) -> bool:
     P[i,n] >= a*P[i,n-1] (k = n),
     each with slack TOL.  At alpha = 1 the same conditions hold exactly for
     constant rows, which is what post-processing the input-blind G gives.
-    For n = 0 every mechanism passes.
     """
     alpha = _check_alpha(alpha)
     m = mech.matrix
@@ -47,7 +46,7 @@ def gm_derivable(mech: Mechanism, alpha: float) -> bool:
     rhs *= alpha
     rhs -= TOL
     lhs -= rhs
-    # the slices of columns 1 and n-1 are empty at n = 0, which passes
+    # initial: the middle slice is empty at n = 1
     return bool(lhs.min(initial=0.0) >= 0.0
                 and np.all(m[:, :1] >= alpha * m[:, 1:2] - TOL)
                 and np.all(m[:, -1:] >= alpha * m[:, -2:-1] - TOL))

@@ -9,7 +9,6 @@ freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,8 @@ from .errors import (
     DimensionMismatch,
     EntryOutOfRange,
     ParseError,
-    UndefinedForN0,
 )
-from .strategy import _check_alpha, _check_d, _check_props, _check_whole
+from .strategy import _check_alpha, _check_d, _check_n, _check_props, _check_whole
 
 #: Additive slack of every validation and predicate check.
 TOL = 1e-9
@@ -41,7 +39,7 @@ def _whole_array(values, dtype, rule: str) -> np.ndarray:
 
 
 class Mechanism:
-    """Validated, immutable column-stochastic mechanism matrix."""
+    """Validated, immutable column-stochastic (n+1) x (n+1) matrix, n >= 1."""
 
     # __weakref__ lets a population remember its last draw without keeping
     # the mechanism alive; that memo relies on no attribute being rebound
@@ -52,8 +50,8 @@ class Mechanism:
         # constructors built and no one else holds, so it is kept as it is;
         # a caller's entries are copied
         matrix = entries if _adopt else np.array(entries, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
-            raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 2:
+            raise DimensionMismatch(f"expected a square matrix of size >= 2, got {matrix.shape}")
         # negated so that NaN, for which every comparison is false, fails too
         if not (matrix.min() >= -TOL and matrix.max() <= 1.0 + TOL):
             bad = np.unravel_index(
@@ -144,7 +142,7 @@ def is_dp(mech: Mechanism, alpha: float) -> bool:
     for lhs, rhs, _ in pieces:
         np.multiply(alpha, rhs, out=buf)
         buf -= lhs
-        if not buf.max(initial=-math.inf) <= TOL:
+        if not buf.max() <= TOL:
             return False
     return True
 
@@ -161,15 +159,14 @@ def _flags(g: np.ndarray, shifted, props) -> dict:
     holds, read as rhs <= the same view of shifted.  RH compares each row's
     maximum, and CH each column's, with the shifted diagonal: that is the
     same as comparing every off-diagonal entry, because g[i, i] <=
-    fl(g[i, i] + TOL).  RM and CM share one mask of the adjacent pairs left
-    of (RM) or above (CM) the diagonal, where the neighbour toward the
-    diagonal is the larger one, and its complement, where the other one is.
-    F and S compare their ``_sides`` within TOL; WH bounds the diagonal.
+    fl(g[i, i] + TOL).  RM and CM share the two masks of RM's ``_sides``:
+    the adjacent pairs left of (RM) or above (CM) the diagonal, where the
+    neighbour toward the diagonal is the larger one, and the rest.  F and S
+    compare their ``_sides`` within TOL; WH bounds the diagonal.
     """
     size = len(g)
     if {"RM", "CM"} & set(props):
-        toward = np.tri(size, size - 1, -1, dtype=bool)
-        away = ~toward
+        (_, _, toward), (_, _, away) = _sides(g, "RM")
     out = {}
     for prop in props:
         if prop == "WH":
@@ -178,7 +175,7 @@ def _flags(g: np.ndarray, shifted, props) -> dict:
             # one piece each; no entry is NaN, so the largest gap decides
             (lhs, rhs, _), = _sides(g, prop)
             gap = np.subtract(lhs, rhs)
-            ok = np.abs(gap, out=gap).max(initial=0.0) <= TOL
+            ok = np.abs(gap, out=gap).max() <= TOL
         elif prop in ("RH", "CH"):
             ok = np.all(g.max(axis=1 if prop == "RH" else 0) <= np.diagonal(shifted))
         else:
@@ -273,13 +270,11 @@ def _by_distance(values: np.ndarray) -> np.ndarray:
 
 
 def _check_objective(obj: Objective, n: int) -> None:
-    """Check that obj fits group size n: n+1 weights, d <= n, n >= 1 if p == 0."""
+    """Check that obj fits group size n: n+1 weights and d <= n."""
     if obj.weights.size != n + 1:
         raise DimensionMismatch(
             f"objective weights have length {obj.weights.size}, mechanism needs {n + 1}")
     _check_d(obj.d, n)
-    if obj.p == 0 and n == 0:
-        raise UndefinedForN0("p=0 objectives are undefined for n=0")
 
 
 def cell_costs(obj: Objective, n: int) -> np.ndarray:
@@ -307,8 +302,6 @@ def _tail_costs(mech: Mechanism) -> np.ndarray:
     l0 cost.  One pass sums each band, then suffix sums accumulate the tails.
     """
     n = mech.n
-    if n == 0:
-        raise UndefinedForN0("tail costs are undefined for n=0")
     bands = np.bincount(_by_distance(np.arange(n + 1)).ravel(), mech.matrix.ravel(), n + 1)
     return np.cumsum(bands[::-1])[::-1] / n
 
@@ -339,7 +332,7 @@ def symmetrize(mech: Mechanism) -> Mechanism:
 # ---------------------------------------------------------------------------
 # mechanism CSV format
 # ---------------------------------------------------------------------------
-# line 1: "n,alpha" with alpha in (0, 1], or NA when unknown; then n+1 rows of n+1
+# line 1: "n,alpha" with n >= 1 and alpha in (0, 1], or NA when unknown; then n+1 rows of n+1
 # comma-separated probabilities, 17 significant digits (exact round trip).
 # It is read as UTF-8 with or without a byte-order mark.
 # Row index = output i, column index = input j.
@@ -373,7 +366,7 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
     if len(head) != 2:
         raise ParseError(f"{path}: line {first} must be 'n,alpha', got {text!r}")
     try:
-        n = _check_whole(int(head[0]), 0, "group size must be an integer >= 0")
+        n = _check_n(int(head[0]))
     except ValueError:
         raise ParseError(f"{path}: line {first}: bad group size {head[0]!r}") from None
     alpha: float | None

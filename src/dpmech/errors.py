@@ -21,10 +21,6 @@ class AlphaOutOfRange(DpMechError):
     """Privacy parameter alpha outside its admissible interval."""
 
 
-class UndefinedForN0(DpMechError):
-    """Score requested for a size-0 mechanism (the formulas divide by n)."""
-
-
 class NumericalInstability(DpMechError):
     """An LP solve failed numerically: HiGHS ended in a state other than
     optimal, infeasible or unbounded, or its answer failed the certificate

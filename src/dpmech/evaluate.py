@@ -65,7 +65,7 @@ def substream(seed: int, k: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class GroupCounts:
-    """True counts, one per group, each in [0, n]; n is an integer >= 0.
+    """True counts, one per group, each in [0, n]; n is an integer >= 1.
 
     ``counts`` is a read-only copy of the caller's values, so no later write
     or flag change can reach it.  Only this module's producers, whose arrays
@@ -77,7 +77,7 @@ class GroupCounts:
     _adopt: InitVar[bool] = False
 
     def __post_init__(self, _adopt):
-        object.__setattr__(self, "n", _check_whole(self.n, 0, "n must be an integer >= 0"))
+        object.__setattr__(self, "n", _check_n(self.n))
         counts = self.counts if _adopt else np.array(self.counts)
         counts = _whole_array(counts, np.int64, "counts must be whole numbers")
         if counts.ndim != 1:

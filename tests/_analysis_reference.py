@@ -79,8 +79,6 @@ def gm_derivable(mech: Mechanism, alpha: float):
     constant; the row spread stands in for min T.
     """
     m = mech.matrix
-    if mech.n == 0:
-        return True
     if alpha == 1.0:
         spread = float((m.max(axis=1) - m.min(axis=1)).max())
         return None if 0.0 < spread < 1e-6 else spread == 0.0

@@ -103,9 +103,6 @@ class TestGmDerivable:
             assert reference.gm_derivable(mech, a) is False
             assert not gm_derivable(mech, a)
 
-    def test_size_zero_is_derivable(self):
-        assert gm_derivable(Mechanism([[1.0]]), 0.5)
-
 
 class TestSelectStrategy:
     def test_fairness_wins(self):

@@ -390,6 +390,16 @@ def test_export_heatmap_missing_input_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_export_heatmap_size_zero_mechanism_exits_2(tmp_path, capsys):
+    # analyze refuses the same file (test_analyze_bad_mechanism_exits_2)
+    path, out = tmp_path / "m.csv", tmp_path / "heat.csv"
+    path.write_text("0,NA\n1\n")
+    code = cli.main(["export-heatmap", "--in", str(path), "--out", str(out)])
+    assert code == cli.EXIT_FLAGS
+    assert _error_only(capsys) == f"dpmech: error: {path}: line 1: bad group size '0'\n"
+    assert not out.exists()
+
+
 def test_export_heatmap_unwritable_out_exits_2(tmp_path, capsys):
     path, out = tmp_path / "m.csv", tmp_path / "missing" / "heat.csv"
     write_mechanism_csv(uniform(2), path, alpha=1.0)

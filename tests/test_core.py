@@ -44,7 +44,6 @@ from dpmech.errors import (
     DimensionMismatch,
     EntryOutOfRange,
     ParseError,
-    UndefinedForN0,
 )
 from dpmech.lp import build_lp, solve_lp
 from dpmech.strategy import _check_d, _check_n, _check_reps
@@ -84,6 +83,12 @@ class TestNewMechanism:
             new_mechanism(2, np.eye(4))
         with pytest.raises(DimensionMismatch):
             Mechanism(np.ones((2, 3)) / 2)
+        # group sizes are n >= 1, so the smallest mechanism is 2 x 2
+        for entries in ([[1.0]], np.zeros((0, 0))):
+            with pytest.raises(DimensionMismatch, match="size >= 2"):
+                Mechanism(entries)
+        with pytest.raises(DimensionMismatch, match="size >= 2"):
+            new_mechanism(0, [[1.0]])
 
     def test_entry_out_of_range(self):
         with pytest.raises(EntryOutOfRange):
@@ -247,11 +252,6 @@ class TestObjectiveValue:
         with pytest.raises(DimensionMismatch, match="weights must be a 1-D vector"):
             Objective(p=1, weights=np.full((2, 2), 0.25))
 
-    def test_p0_objective_is_undefined_for_n0(self):
-        with pytest.raises(UndefinedForN0):
-            objective_value(Mechanism([[1.0]]), Objective(p=0, weights=[1.0]))
-        assert objective_value(Mechanism([[1.0]]), Objective(p=1, weights=[1.0])) == 0.0
-
     def test_fair_cost_is_weight_independent(self, rng):
         # with a constant diagonal y, the p=0 objective is (n+1)/n * (1-y) for
         # every prior
@@ -297,10 +297,6 @@ class TestL0Score:
     def test_uniform_scores_one(self):
         assert l0_score(uniform(3)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_n0(self):
-        with pytest.raises(UndefinedForN0):
-            l0_score(Mechanism([[1.0]]))
-
     def test_equals_rescaled_objective(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 7))
@@ -319,8 +315,6 @@ class TestL0Score:
                     assert l0d_score(m, d) == pytest.approx(expected, abs=1e-12)
 
     def test_l0d_score_errors(self):
-        with pytest.raises(UndefinedForN0):
-            l0d_score(Mechanism([[1.0]]), 0)
         with pytest.raises(ValueError):
             l0d_score(uniform(3), -1)
         with pytest.raises(DimensionMismatch):
@@ -439,10 +433,11 @@ class TestMechanismCsv:
         ("1,NA,2\n1,0\n0,1\n", "line 1 must be 'n,alpha'"),
         ("1.5,NA\n1,0\n0,1\n", "line 1: bad group size '1.5'"),
         ("-1,NA\n", "line 1: bad group size '-1'"),
+        ("0,NA\n1\n", "line 1: bad group size '0'"),
         ("-2,0.5\n1,0\n0,1\n", "line 1: bad group size '-2'"),
         ("1,NA\n1,0\n0\n", "line 3: expected 2 values, found 1"),
         ("1,0.5\n\n0.5,0.5\n0.5,x\n", "line 4: non-numeric entry"),
-    ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "negative-n",
+    ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "negative-n", "zero-n",
             "negative-n-with-rows", "short-row", "after-blank-line"])
     def test_malformed_file_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "m.csv"

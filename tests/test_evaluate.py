@@ -182,9 +182,10 @@ class TestInputRules:
         a[:] = 9  # past n, which a kept view would hand to the sampler
         assert empirical_l0d(geometric(4, 0.5), groups, cfg).per_rep == first
 
-    @pytest.mark.parametrize("n", [-3, 2.5, np.inf])
-    def test_group_size_is_an_integer_at_least_0(self, n):
-        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {n}")):
+    @pytest.mark.parametrize("n", [-3, 0, 2.5, np.inf])
+    def test_group_size_is_an_integer_at_least_1(self, n):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"group size must be an integer >= 1, got {n}")):
             GroupCounts(n=n, counts=[])
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, np.nan])
