@@ -353,6 +353,13 @@ def write_mechanism_csv(mech: Mechanism, path, alpha: float | None = None) -> No
         fh.write("\n".join(lines) + "\n")
 
 
+def _plain(field: str) -> str:
+    """field, unless it holds a digit-group underscore: int() and float() read "1_0" as 10."""
+    if "_" in field:
+        raise ValueError(f"{field!r} holds an underscore")
+    return field
+
+
 def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -366,7 +373,7 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
     if len(head) != 2:
         raise ParseError(f"{path}: line {first} must be 'n,alpha', got {text!r}")
     try:
-        n = _check_n(int(head[0]))
+        n = _check_n(int(_plain(head[0])))
     except ValueError:
         raise ParseError(f"{path}: line {first}: bad group size {head[0]!r}") from None
     alpha: float | None
@@ -374,7 +381,7 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
         alpha = None
     else:
         try:
-            alpha = _check_alpha(float(head[1]))
+            alpha = _check_alpha(float(_plain(head[1])))
         except (ValueError, AlphaOutOfRange):
             raise ParseError(f"{path}: line {first}: bad alpha {head[1]!r}; "
                              "expected NA or a value in (0, 1]") from None
@@ -386,6 +393,7 @@ def read_mechanism_csv(path) -> tuple[Mechanism, float | None]:
         if len(parts) != n + 1:
             raise ParseError(f"{path}: line {k}: expected {n + 1} values, found {len(parts)}")
         try:
+            _plain(ln)
             rows.append([float(p) for p in parts])
         except ValueError:
             raise ParseError(f"{path}: line {k}: non-numeric entry") from None

@@ -33,6 +33,24 @@ asymmetric weights, go to HiGHS as they are.  The map is not checked at
 run time: a wrong one fails loudly (see ``solve_lp``), and the tests check
 ``build_lp``'s maps exactly.
 
+Every optimal count-query mechanism is the truncated geometric mechanism
+(GM) followed by a remap (Ghosh, Roughgarden and Sundararajan, STOC 2009),
+so ``solve_lp`` starts HiGHS from GM's vertex.  Its basis follows from cell
+positions alone: every cell is basic, the column sums are tight, and of the
+two privacy rows of each adjacent pair the one GM meets with equality is
+tight, x[i, j] >= alpha x[i, j+1] when j < i and its partner when j >= i;
+every other logical, property rows included, is basic, and the dual
+simplex repairs the property rows GM breaks.  ``build_lp`` records that
+basis on the LP (the private ``_start``) when alpha ** n >= 1e-12; below
+that GM's far cells fall under HiGHS's tolerances, and the start is refused
+or fails, at a cost on top of the cold solve.  A start that HiGHS refuses,
+that does not end in an optimum, or whose answer ``certify`` refuses, is
+followed by a fresh cold run, which answers exactly as if there had been
+no start.  An answer from GM's basis is the optimal vertex the simplex
+reaches from GM: it has the cold run's cost within 1e-9, but may differ
+from the cold run's vertex, in its matrix and in the properties it happens
+to meet beyond those asked for.
+
 An ``optimal`` answer is a checked claim, by ``certify`` on the data of the
 LP the caller passed, folded or not: the point breaks no row or bound by
 more than 1e-9 (primal side), and its objective is within 1e-9 of the
@@ -131,11 +149,13 @@ class LinearProgram:
     the selected rows, for reference code only; the solve, ``max_violation``,
     ``certify`` and ``dump`` read the triplets.
 
-    ``_mirror`` is not a constructor argument: ``build_lp`` sets it on a
-    centrosymmetric design LP, to pair row k with row _mirror[k] under
-    reversal of the variables (x[j] <-> x[nv-1-j]), and ``solve_lp`` then
-    solves on half the variables.  ``dataclasses.replace(lp)`` gives the
-    same LP without it.
+    ``_mirror`` and ``_start`` are not constructor arguments: ``build_lp``
+    sets ``_mirror`` on a centrosymmetric design LP, to pair row k with row
+    _mirror[k] under reversal of the variables (x[j] <-> x[nv-1-j]), and
+    ``solve_lp`` then solves on half the variables.  It sets ``_start`` on a
+    design LP with alpha ** n >= 1e-12, one flag per row, True where the
+    row's logical is basic in GM's basis, and ``solve_lp`` starts from that
+    basis.  ``dataclasses.replace(lp)`` gives the same LP without either.
     """
 
     c: np.ndarray
@@ -145,6 +165,7 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     _mirror: np.ndarray | None = field(default=None, init=False, repr=False)
+    _start: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -209,9 +230,15 @@ class LinearProgram:
 
 @dataclass(eq=False)
 class LpSolution:
+    """What ``solve_lp`` found, and which run found it."""
+
     status: str
     values: np.ndarray | None = None
     objective_value: float | None = None
+    #: which run answered: "gm" (from GM's basis), "cold", or "cold-after-gm"
+    start: str = "cold"
+    #: simplex iterations, summed over the runs
+    iterations: int = 0
 
 
 def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +264,12 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 def _stack_last(arrays) -> np.ndarray:
     """np.stack(arrays, -1), at about half its per-call cost on small arrays."""
     return np.concatenate([a[..., None] for a in arrays], -1)
+
+
+#: below this alpha ** n, a start from GM's basis is refused or fails (see
+#: the module docstring); measured: certified at alpha ** n = 2.8e-13 (n=24,
+#: alpha=0.3) and 1.1e-10, fell back to cold at 5.2e-14 and 1.9e-17
+_CRASH_FLOOR = 1e-12
 
 
 def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
@@ -294,6 +327,13 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     if not {"F", "S"} & props and np.array_equal(c, c[::-1]):
         starts = np.cumsum(counts) - counts
         lp._mirror = np.repeat(2 * starts + counts - 1, counts) - np.arange(start)
+    if alpha ** n >= _CRASH_FLOOR:
+        # GM's basis: the column sums are tight, and at each privacy pair
+        # (i, j), (i, j+1) the row x[i, j] >= alpha x[i, j+1] is tight when
+        # j < i and its partner when j >= i; every other logical is basic
+        below = np.tri(size, n, -1, dtype=bool)  # j < i
+        lp._start = np.concatenate([np.zeros(size, bool), _stack_last([~below, below]).ravel(),
+                                    np.ones(start - size - 2 * n * size, bool)])
     return lp
 
 
@@ -402,10 +442,12 @@ def _fold(lp: LinearProgram):
     {r, lp._mirror[r]}, and the map of its (x, y) to the same point and duals of lp.
 
     Orbit o < nv - o - 1 holds columns o and nv-1-o, merged with their costs
-    summed; the first row of each pair stands for both.  For symmetric x the
-    two rows of a pair are one condition, and the optimum of lp may be taken
-    symmetric: averaging a feasible point with its reverse keeps it feasible
-    at the same cost.  Each row dual is the folded one, halved on a row that
+    summed; the first row of each pair stands for both, and keeps its
+    ``_start`` flag.  For symmetric x the two rows of a pair are one
+    condition, and the optimum of lp may be taken symmetric: averaging a
+    feasible point with its reverse keeps it feasible at the same cost.
+    Rotation keeps each cell's distance from the diagonal, so GM is such a
+    point, and the kept flags are GM's basis of the folded LP.  Each row dual is the folded one, halved on a row that
     is not its own mirror; then c - a'y is half the folded reduced cost on a
     paired column and equal to it on the centre column, and b.y = b_f.y_f.
     """
@@ -432,35 +474,15 @@ def _fold(lp: LinearProgram):
         lo=lp.lo[:nf],
         hi=lp.hi[:nf],
     )
+    if lp._start is not None:
+        folded._start = lp._start[keep]
     share = np.where(mirror == rows, 1.0, 2.0)
     rep = index[np.minimum(rows, mirror)]
     return folded, lambda z, y: (z[orbit], y[rep] / share)
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve with HiGHS's simplex; never raises for infeasible/unbounded.
-
-    An LP on which ``build_lp`` recorded a ``_mirror`` is solved folded
-    (``_fold``): HiGHS gets one variable per pair {j, nv-1-j} and one row per
-    mirror pair, and the answer is expanded to a point with x[j] == x[nv-1-j]
-    and to duals of ``lp``'s own rows.  The optimal cost is the same; which
-    optimum is returned is not.  Any other LP goes to HiGHS as it is.
-
-    Either way an ``optimal`` answer has passed ``certify`` on ``lp`` itself,
-    with the duals of ``_basis_duals``.  Raises ``NumericalInstability`` when
-    it does not, or when HiGHS ends in any other state or refuses a basis call.
-
-    So a wrong ``_mirror`` fails loudly.  A design LP admits the uniform
-    mechanism, which is centrosymmetric, so its fold under any row map is
-    feasible, and it is bounded because no cell cost is negative.  The
-    expanded point then either breaks a row of ``lp``, or lies above the
-    bound that the expanded duals prove, and ``certify`` refuses it; or it
-    is optimal for ``lp`` within 1e-9.  It is never ``infeasible``,
-    ``unbounded`` or costlier.
-    """
-    if not np.all(np.isfinite(lp.lo)):
-        raise ValueError("solve_lp requires finite lower bounds")
-    problem, lift = (lp, None) if lp._mirror is None else _fold(lp)
+def _model(problem: LinearProgram):
+    """``problem`` as a HiGHS model, its matrix compressed by column."""
     h = _highs()
     nv, m = problem.num_vars, problem.num_constraints
     model = h.HighsLp()
@@ -475,33 +497,107 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     matrix.start_ = np.searchsorted(a.col, np.arange(nv + 1))
     matrix.index_ = a.row
     matrix.value_ = a.data
+    return model
 
+
+def _run(model, start: np.ndarray | None = None):
+    """A HiGHS run of ``model``: cold, or from the basis in which every column
+    is basic and row r's logical is basic where ``start[r]``, else at its lower
+    bound.  None when that is not one basic variable per row, or HiGHS refuses it.
+    """
+    h = _highs()
     highs = h._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
     highs.passModel(model)
+    if start is not None:
+        if model.num_col_ + np.count_nonzero(start) != model.num_row_:
+            return None
+        basic, lower = h.HighsBasisStatus.kBasic, h.HighsBasisStatus.kLower
+        basis = h.HighsBasis()
+        basis.col_status = [basic] * model.num_col_
+        basis.row_status = [basic if s else lower for s in start.tolist()]
+        if highs.setBasis(basis) != h.HighsStatus.kOk:
+            return None
     highs.run()
-    status = highs.getModelStatus()
-    if status == h.HighsModelStatus.kInfeasible:
-        return LpSolution(status=STATUS_INFEASIBLE)
-    if status == h.HighsModelStatus.kUnbounded:
-        return LpSolution(status=STATUS_UNBOUNDED)
-    if status != h.HighsModelStatus.kOptimal:
-        raise NumericalInstability(f"HiGHS ended with {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    x = np.array(solution.col_value)
+    return highs
+
+
+def _certified(lp: LinearProgram, problem: LinearProgram, lift, highs, start: str,
+               iterations: int) -> LpSolution:
+    """The optimal answer of a run on ``problem``, mapped by ``lift`` to ``lp``
+    and passed by ``certify`` there; raises ``NumericalInstability`` when it is not."""
+    x = np.array(highs.getSolution().col_value)
     status, basic = highs.getBasicVariables()
-    if status != h.HighsStatus.kOk:
+    if status != _highs().HighsStatus.kOk:
         raise NumericalInstability(f"HiGHS's basis read ended with {status.name}")
     y = _basis_duals(problem, highs, basic)
     if lift is not None:
         x, y = lift(x, y)
     certify(lp, x, y)
-    return LpSolution(
-        status=STATUS_OPTIMAL,
-        values=x,
-        objective_value=float(lp.c @ x),
-    )
+    return LpSolution(status=STATUS_OPTIMAL, values=x, objective_value=float(lp.c @ x),
+                      start=start, iterations=iterations)
+
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve with HiGHS's simplex; never raises for infeasible/unbounded.
+
+    An LP on which ``build_lp`` recorded a ``_mirror`` is solved folded
+    (``_fold``): HiGHS gets one variable per pair {j, nv-1-j} and one row per
+    mirror pair, and the answer is expanded to a point with x[j] == x[nv-1-j]
+    and to duals of ``lp``'s own rows.  The optimal cost is the same; which
+    optimum is returned is not.  Any other LP goes to HiGHS as it is.
+
+    An LP on which ``build_lp`` recorded a ``_start`` is first run from that
+    basis, GM's (see the module docstring), and the answer is returned with
+    ``start == "gm"`` when HiGHS ends optimal and ``certify`` passes it.  In
+    every other case -- a start without one basic variable per row or that
+    ``setBasis`` refuses, any other end state (infeasible and unbounded
+    too), a refused basis call or certificate -- a fresh cold run of the
+    same model answers, with ``start == "cold-after-gm"``, bit for bit as
+    the LP without ``_start`` is answered (``start == "cold"``), statuses
+    and errors included.  ``iterations`` sums the simplex iterations of the
+    runs.
+
+    Either way an ``optimal`` answer has passed ``certify`` on ``lp`` itself,
+    with the duals of ``_basis_duals``.  Raises ``NumericalInstability`` when
+    the cold run's does not, or when it ends in any other state or a basis
+    call is refused.
+
+    So a wrong ``_mirror`` fails loudly.  A design LP admits the uniform
+    mechanism, which is centrosymmetric, so its fold under any row map is
+    feasible, and it is bounded because no cell cost is negative.  The
+    expanded point then either breaks a row of ``lp``, or lies above the
+    bound that the expanded duals prove, and ``certify`` refuses it; or it
+    is optimal for ``lp`` within 1e-9.  It is never ``infeasible``,
+    ``unbounded`` or costlier.
+    """
+    if not np.all(np.isfinite(lp.lo)):
+        raise ValueError("solve_lp requires finite lower bounds")
+    problem, lift = (lp, None) if lp._mirror is None else _fold(lp)
+    h = _highs()
+    model = _model(problem)
+    iterations = 0
+    if problem._start is not None:
+        highs = _run(model, problem._start)
+        if highs is not None:
+            iterations = highs.getInfo().simplex_iteration_count
+            if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
+                try:
+                    return _certified(lp, problem, lift, highs, "gm", iterations)
+                except NumericalInstability:
+                    pass
+    start = "cold" if problem._start is None else "cold-after-gm"
+    highs = _run(model)
+    iterations += highs.getInfo().simplex_iteration_count
+    status = highs.getModelStatus()
+    if status == h.HighsModelStatus.kInfeasible:
+        return LpSolution(status=STATUS_INFEASIBLE, start=start, iterations=iterations)
+    if status == h.HighsModelStatus.kUnbounded:
+        return LpSolution(status=STATUS_UNBOUNDED, start=start, iterations=iterations)
+    if status != h.HighsModelStatus.kOptimal:
+        raise NumericalInstability(f"HiGHS ended with {highs.modelStatusToString(status)}")
+    return _certified(lp, problem, lift, highs, start, iterations)
 
 
 def design_mechanism(n: int, alpha: float, props, obj: Objective) -> Mechanism:

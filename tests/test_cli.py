@@ -189,6 +189,19 @@ def test_analyze_negative_group_size_names_the_file(tmp_path, capsys, header):
     assert _error_only(capsys) == f"dpmech: error: {path}: line 1: bad group size '{bad}'\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1_0,NA\n" + (",".join([repr(1 / 11)] * 11) + "\n") * 11, "line 1: bad group size '1_0'"),
+    ("1,NA\n1,0\n0_0,1\n", "line 3: non-numeric entry"),
+], ids=["header", "entry"])
+def test_analyze_digit_group_underscore_names_the_line(tmp_path, capsys, text, message):
+    # int() and float() would read "1_0" as 10 and "0_0" as 0.0
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    code = cli.main(["analyze", "--in", str(path)])
+    assert code == cli.EXIT_FLAGS
+    assert _error_only(capsys) == f"dpmech: error: {path}: {message}\n"
+
+
 def test_design_nan_weights_exits_2(tmp_path, capsys):
     weights = tmp_path / "w.txt"
     weights.write_text("nan nan nan nan\n")

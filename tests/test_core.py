@@ -437,8 +437,15 @@ class TestMechanismCsv:
         ("-2,0.5\n1,0\n0,1\n", "line 1: bad group size '-2'"),
         ("1,NA\n1,0\n0\n", "line 3: expected 2 values, found 1"),
         ("1,0.5\n\n0.5,0.5\n0.5,x\n", "line 4: non-numeric entry"),
+        # int() and float() read digit-group underscores, so each of these
+        # files would otherwise be read as a valid one ("1_0" as n = 10)
+        ("1_0,NA\n" + (",".join([repr(1 / 11)] * 11) + "\n") * 11,
+         "line 1: bad group size '1_0'"),
+        ("1,0.5_0\n0.5,0.5\n0.5,0.5\n", "line 1: bad alpha '0.5_0'"),
+        ("1,NA\n1,0\n0_0,1\n", "line 3: non-numeric entry"),
     ], ids=["empty", "no-alpha", "extra-field", "non-integer-n", "negative-n", "zero-n",
-            "negative-n-with-rows", "short-row", "after-blank-line"])
+            "negative-n-with-rows", "short-row", "after-blank-line", "underscore-n",
+            "underscore-alpha", "underscore-entry"])
     def test_malformed_file_is_a_parse_error(self, tmp_path, text, message):
         path = tmp_path / "m.csv"
         path.write_text(text)

@@ -27,6 +27,7 @@ from dpmech import (
     explicit_fair,
     geometric,
     gm_l0_cost,
+    implied_properties,
     is_dp,
     l0_objective,
     l0_score,
@@ -342,12 +343,26 @@ class TestSolveLp:
         with pytest.raises(ValueError, match="solve_lp requires finite lower bounds"):
             solve_lp(_mk([1.0], [[1.0]], [REL_GE], [0.0], lo=[-np.inf]))
 
-    def test_any_other_highs_state_is_numerical_instability(self, monkeypatch):
+    @staticmethod
+    def _limit_iterations(monkeypatch):
         monkeypatch.setattr(lp_module, "_HIGHS_OPTIONS",
                             lp_module._HIGHS_OPTIONS + (("simplex_iteration_limit", 1),))
+
+    def test_any_other_highs_state_is_numerical_instability(self, monkeypatch):
+        # run cold: from GM's basis this LP is solved in 0 iterations
+        lp = dataclasses.replace(build_lp(4, 0.62, frozenset(), l0_objective(4)))
+        self._limit_iterations(monkeypatch)
         with pytest.raises(NumericalInstability,
                            match="HiGHS ended with Iteration limit reached"):
-            solve_lp(build_lp(4, 0.62, frozenset(), l0_objective(4)))
+            solve_lp(lp)
+
+    def test_cold_run_after_a_failed_crash_raises_its_own_error(self, monkeypatch):
+        # from GM's basis this LP takes 4 iterations, so both runs hit the limit
+        lp = build_lp(4, 0.62, frozenset({"F"}), l0_objective(4))
+        self._limit_iterations(monkeypatch)
+        with pytest.raises(NumericalInstability,
+                           match="HiGHS ended with Iteration limit reached"):
+            solve_lp(lp)
 
     def test_basicdp_n2_recovers_geometric(self):
         lp = build_lp(2, 0.5, frozenset(), l0_objective(2))
@@ -419,6 +434,7 @@ class TestSolveLp:
     def test_same_lp_same_answer_bit_for_bit(self):
         first = solve_lp(build_lp(8, 0.62, {"WH", "CM"}, l1_objective(8)))
         again = solve_lp(build_lp(8, 0.62, {"WH", "CM"}, l1_objective(8)))
+        assert first.start == again.start == "gm"
         assert first.values.tobytes() == again.values.tobytes()
 
 
@@ -664,6 +680,118 @@ class TestFold:
         monkeypatch.setattr(lp_module, "_basis_duals", weak)
         with pytest.raises(NumericalInstability, match="dual bound"):
             solve_lp(build_lp(6, 0.62, {"WH", "CM"}, l1_objective(6)))
+
+
+_CLOSED_PROPS = sorted({implied_properties(props) for size in range(len(PROPERTIES) + 1)
+                        for props in combinations(PROPERTIES, size)}, key=sorted)
+
+
+def _cold(lp):
+    """The answer to ``lp`` solved without its ``_start``."""
+    lp._start = None
+    return solve_lp(lp)
+
+
+class TestCrashStart:
+    """Design LPs start from the geometric mechanism's basis, and fall back to a cold run."""
+
+    @staticmethod
+    def _lp():
+        # folded, and 2 iterations from GM's basis
+        return build_lp(6, 0.62, frozenset({"WH", "CM"}), l1_objective(6))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_crash_cost_matches_a_cold_whole_solve(self, n):
+        assert len(_CLOSED_PROPS) == 48
+        for alpha in (0.3, 0.9, 1.0):
+            for props in _CLOSED_PROPS:
+                for objective in (l0_objective, l1_objective):
+                    lp = build_lp(n, alpha, props, objective(n))
+                    sol, cold = solve_lp(lp), solve_lp(dataclasses.replace(lp))
+                    assert (sol.start, cold.start) == ("gm", "cold"), (alpha, props)
+                    assert abs(sol.objective_value - cold.objective_value) <= 1e-12, (alpha, props)
+
+    def test_gm_is_its_own_optimum(self):
+        sol = solve_lp(build_lp(32, 0.9, frozenset(), l0_objective(32)))
+        assert (sol.start, sol.iterations) == ("gm", 0)
+        assert np.allclose(sol.values.reshape(33, 33), geometric(32, 0.9).matrix, atol=1e-12)
+
+    def test_start_is_kept_only_above_the_floor(self):
+        # alpha ** n is 1.9e-17 for the first and 1.0e-5 for the second
+        lp = build_lp(32, 0.3, frozenset(), l0_objective(32))
+        assert lp._start is None
+        assert solve_lp(lp).start == "cold"
+        assert build_lp(24, 0.62, frozenset(), l0_objective(24))._start is not None
+
+    def test_start_is_one_basic_variable_per_row(self):
+        for props in _CLOSED_PROPS:
+            lp = build_lp(3, 0.62, props, l0_objective(3))
+            assert lp.num_vars + np.count_nonzero(lp._start) == lp.num_constraints, props
+        assert dataclasses.replace(lp)._start is None
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda start: np.where(np.arange(start.size) == 9, ~start, start),
+        lambda start: np.where(np.arange(start.size) == 0, True, start),
+        lambda start: np.ones_like(start),
+    ], ids=["one-pair-flag-flipped", "one-extra-basic-row", "all-logicals-basic"])
+    def test_wrong_basic_count_is_run_cold(self, corrupt):
+        lp = self._lp()
+        lp._start = corrupt(lp._start)
+        sol, cold = solve_lp(lp), _cold(self._lp())
+        assert (sol.start, sol.iterations) == ("cold-after-gm", cold.iterations)
+        assert sol.values.tobytes() == cold.values.tobytes()
+        assert sol.objective_value == cold.objective_value
+
+    @pytest.mark.parametrize("call, answer", [
+        ("setBasis", lambda h: h.HighsStatus.kError),
+        ("getModelStatus", lambda h: h.HighsModelStatus.kInfeasible),
+        ("getModelStatus", lambda h: h.HighsModelStatus.kUnbounded),
+        ("getModelStatus", lambda h: h.HighsModelStatus.kIterationLimit),
+        ("getBasicVariables", lambda h: (h.HighsStatus.kError, np.zeros(0))),
+        ("getBasisTransposeSolve", lambda h: (h.HighsStatus.kError, np.zeros(0))),
+    ], ids=["setBasis-refused", "infeasible", "unbounded", "iteration-limit",
+            "basis-read-refused", "basis-solve-refused"])
+    def test_failed_crash_is_run_cold(self, monkeypatch, call, answer):
+        h = lp_module._highs()
+        real = h._Highs
+        made = []
+
+        class FirstRunFails:
+            """A HiGHS run whose ``call`` gives ``answer`` on the first run only."""
+
+            def __init__(self):
+                self._real = real()
+                made.append(self)
+
+            def __getattr__(self, name):
+                if name == call and self is made[0]:
+                    return lambda *args: answer(h)
+                return getattr(self._real, name)
+
+        cold = _cold(self._lp())
+        monkeypatch.setattr(h, "_Highs", FirstRunFails)
+        sol = solve_lp(self._lp())
+        assert len(made) == 2 and sol.start == "cold-after-gm"
+        assert sol.iterations >= cold.iterations
+        assert sol.values.tobytes() == cold.values.tobytes()
+
+    def test_refused_certificate_is_run_cold(self, monkeypatch):
+        calls = []
+
+        def refuse_first(lp, x, y):
+            calls.append(lp)
+            if len(calls) == 1:
+                raise NumericalInstability("refused")
+            certify(lp, x, y)
+
+        crash, cold = solve_lp(self._lp()), _cold(self._lp())
+        monkeypatch.setattr(lp_module, "certify", refuse_first)
+        lp = self._lp()
+        sol = solve_lp(lp)
+        assert calls == [lp, lp]
+        assert sol.start == "cold-after-gm"
+        assert sol.iterations == crash.iterations + cold.iterations
+        assert sol.values.tobytes() == cold.values.tobytes()
 
 
 class TestHighsLoader:
