@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 
-from .errors import AlphaOutOfRange, DpMechError, LpInternalError, NumericalInstability
+from .errors import AlphaOutOfRange, DpMechError, NumericalInstability
 from .strategy import PROPERTIES, _check_alpha, _check_d, _check_n, select_strategy
 
 EXIT_OK = 0
@@ -125,7 +125,7 @@ def _cmd_design(args) -> int:
         value = core.objective_value(mech, objective)
     except OSError as exc:
         return _fail(EXIT_SOLVER, f"cannot write {args.dump_lp}: {exc}")
-    except (NumericalInstability, LpInternalError) as exc:
+    except NumericalInstability as exc:
         return _fail(EXIT_SOLVER, str(exc))
     except (ValueError, DpMechError) as exc:
         return _fail(EXIT_FLAGS, str(exc))

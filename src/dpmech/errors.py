@@ -24,12 +24,9 @@ class AlphaOutOfRange(DpMechError):
 class NumericalInstability(DpMechError):
     """An LP solve failed numerically: HiGHS ended in a state other than
     optimal, infeasible or unbounded, or its answer failed the certificate
-    (a row or bound broken, or the objective above the dual bound, by more
-    than 1e-9)."""
-
-
-class LpInternalError(DpMechError):
-    """A mechanism-design LP reported infeasible/unbounded, which should be impossible."""
+    (a row or x >= 0 broken, or the objective above the dual bound, by more
+    than 1e-9), or a design LP, which always admits the uniform mechanism,
+    was reported infeasible or unbounded."""
 
 
 class BadProbability(DpMechError):

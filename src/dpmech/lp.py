@@ -52,8 +52,8 @@ from the cold run's vertex, in its matrix and in the properties it happens
 to meet beyond those asked for.
 
 An ``optimal`` answer is a checked claim, by ``certify`` on the data of the
-LP the caller passed, folded or not: the point breaks no row or bound by
-more than 1e-9 (primal side), and its objective is within 1e-9 of the
+LP the caller passed, folded or not: the point breaks no row and no x >= 0
+by more than 1e-9 (primal side), and its objective is within 1e-9 of the
 lower bound that the row duals of HiGHS's final basis, sign-corrected,
 prove for every feasible point (dual side).  ``_basis_duals`` solves for
 those duals with HiGHS's own factor of the basis and refines them once on
@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _EQUALITIES, TOL, Mechanism, Objective, _sides, _whole_array, cell_costs
-from .errors import LpInternalError, NumericalInstability
+from .errors import NumericalInstability
 from .strategy import PROPERTIES, _check_alpha, _check_n, _check_props
 
 REL_LE = -1
@@ -143,10 +143,12 @@ class CooMatrix:
 
 @dataclass(eq=False)
 class LinearProgram:
-    """minimize c.x subject to a x {<=,==,>=} b and lo <= x <= hi.
+    """minimize c.x subject to a x {<=,==,>=} b and x >= 0.
 
-    ``a`` is a ``CooMatrix`` of shape (b.size, c.size).  ``a[rows]`` densifies
-    the selected rows, for reference code only; the solve, ``max_violation``,
+    x >= 0 is the only bound: in a design LP the column sums already cap
+    every cell at 1.  ``a`` is a ``CooMatrix`` of shape (b.size, c.size).
+    ``a[rows]`` densifies the selected rows, and ``lo`` and ``hi`` read as
+    zeros and +inf, for reference code only; the solve, ``max_violation``,
     ``certify`` and ``dump`` read the triplets.
 
     ``_mirror`` and ``_start`` are not constructor arguments: ``build_lp``
@@ -162,8 +164,6 @@ class LinearProgram:
     a: CooMatrix
     rel: np.ndarray
     b: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     _mirror: np.ndarray | None = field(default=None, init=False, repr=False)
     _start: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -174,16 +174,12 @@ class LinearProgram:
             raise ValueError("rel entries must be REL_LE, REL_EQ or REL_GE (-1, 0 or 1)")
         self.rel = np.asarray(rel, dtype=np.int8)
         self.b = np.asarray(self.b, dtype=np.float64)
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
-        for name in ("c", "rel", "b", "lo", "hi"):
+        for name in ("c", "rel", "b"):
             if getattr(self, name).ndim != 1:
                 raise ValueError(f"{name} must be a 1-D vector")
         for name in ("c", "b"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
-            raise ValueError("bounds must not be NaN")
         if not isinstance(self.a, CooMatrix):
             raise TypeError(f"a must be a CooMatrix, got {type(self.a).__name__}")
         if self.a.shape != (self.b.size, self.c.size):
@@ -191,10 +187,14 @@ class LinearProgram:
                              f"{(self.b.size, self.c.size)}")
         if self.rel.size != self.b.size:
             raise ValueError("constraint arrays disagree in length")
-        if not (self.c.size == self.lo.size == self.hi.size):
-            raise ValueError("bound arrays disagree with variable count")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lower bound exceeds upper bound")
+
+    @property
+    def lo(self) -> np.ndarray:
+        return np.zeros(self.num_vars)
+
+    @property
+    def hi(self) -> np.ndarray:
+        return np.full(self.num_vars, np.inf)
 
     @property
     def num_vars(self) -> int:
@@ -212,14 +212,13 @@ class LinearProgram:
 
             minimize <num_vars> <num_constraints>   first line
             c <var> <value>                          nonzero objective coefficient
-            bound <var> <lo> <hi>                    one per variable
+            bound <var> 0 inf                        one per variable: x >= 0
             row <row> <rel> <rhs>                    one per row, rel is <=, == or >=
             a <row> <var> <value>                    one per triplet of a, row-major
         """
         fh.write(f"minimize {self.num_vars} {self.num_constraints}\n")
         fh.writelines(f"c {k} {self.c[k]:.17g}\n" for k in np.flatnonzero(self.c))
-        fh.writelines(f"bound {k} {lo:.17g} {hi:.17g}\n"
-                      for k, (lo, hi) in enumerate(zip(self.lo, self.hi)))
+        fh.writelines(f"bound {k} 0 inf\n" for k in range(self.num_vars))
         fh.writelines(f"row {r} {_REL_TEXT[int(rel)]} {rhs:.17g}\n"
                       for r, (rel, rhs) in enumerate(zip(self.rel, self.b)))
         a = self.a
@@ -248,11 +247,11 @@ def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest amount by which x breaks any constraint row or bound."""
+    """Largest amount by which x breaks any constraint row or x >= 0."""
     lower, upper = _row_bounds(lp)
     ax = lp.a.dot(x)
-    return max(float(np.max(lp.lo - x, initial=0.0)),
-               float(np.max(x - lp.hi, initial=0.0)),
+    # 0.0 - x, not -x: at x == 0 the latter is -0.0
+    return max(float(np.max(0.0 - x, initial=0.0)),
                float(np.max(lower - ax, initial=0.0)),
                float(np.max(ax - upper, initial=0.0)))
 
@@ -318,9 +317,6 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         a=CooMatrix(np.concatenate(row), np.concatenate(col), np.concatenate(data), (start, nv)),
         rel=rel,
         b=b,
-        lo=np.zeros(nv),
-        # no x <= 1 bound: x >= 0 and the column sums already cap every cell at 1
-        hi=np.full(nv, np.inf),
     )
     # rotating the grid by 180 degrees (reversing the variables) maps each
     # block onto itself in reverse; F and S rows have no such mirror
@@ -380,14 +376,13 @@ def _highs():
 def certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> None:
     """Raise ``NumericalInstability`` unless x is optimal within 1e-9.
 
-    Primal side: x breaks no row or bound by more than 1e-9.  Dual side: any
-    row multipliers y give a lower bound on every feasible objective, once
-    each entry of the wrong sign for its row is set to 0; with z = c - a'y it
-    is b.y + sum_j min(z_j lo_j, z_j hi_j), where a column with no upper
-    bound adds z_j lo_j and needs z_j >= -1e-9.  x must come within 1e-9 of
-    that bound.  The bound holds for any y, so duals from a faulty solve can
-    make this refuse an optimal x, but not pass a costlier one beyond the
-    tolerances.
+    Primal side: x breaks no row and no x >= 0 by more than 1e-9.  Dual side:
+    any row multipliers y give a lower bound on every feasible objective, once
+    each entry of the wrong sign for its row is set to 0; with z = c - a'y,
+    over x >= 0 it is b.y when every z_j >= -1e-9, and -inf otherwise.  x
+    must come within 1e-9 of that bound.  The bound holds for any y, so
+    duals from a faulty solve can make this refuse an optimal x, but not
+    pass a costlier one beyond the tolerances.
     """
     violation = max_violation(lp, x)
     if not violation <= TOL:
@@ -396,11 +391,7 @@ def certify(lp: LinearProgram, x: np.ndarray, y: np.ndarray) -> None:
     lower, upper = _row_bounds(lp)
     y = np.clip(y, np.where(upper < np.inf, -np.inf, 0.0), np.where(lower > -np.inf, np.inf, 0.0))
     z = lp.c - lp.a.rdot(y)
-    open_top = ~np.isfinite(lp.hi)
-    hi = np.where(open_top, lp.lo, lp.hi)
-    bound = float(lp.b @ y + np.minimum(z * lp.lo, z * hi).sum())
-    if np.any(z[open_top] < -TOL):
-        bound = -np.inf
+    bound = float(lp.b @ y) if np.all(z >= -TOL) else -np.inf
     gap = float(lp.c @ x) - bound
     if not gap <= TOL:
         raise NumericalInstability(
@@ -439,7 +430,8 @@ def _basis_duals(lp: LinearProgram, highs, basic: np.ndarray) -> np.ndarray:
 
 def _fold(lp: LinearProgram):
     """The LP on one variable per orbit {j, nv-1-j} and one row per pair
-    {r, lp._mirror[r]}, and the map of its (x, y) to the same point and duals of lp.
+    {r, lp._mirror[r]}, and the map of its (x, y) to the same point and
+    duals of lp.
 
     Orbit o < nv - o - 1 holds columns o and nv-1-o, merged with their costs
     summed; the first row of each pair stands for both, and keeps its
@@ -447,9 +439,10 @@ def _fold(lp: LinearProgram):
     condition, and the optimum of lp may be taken symmetric: averaging a
     feasible point with its reverse keeps it feasible at the same cost.
     Rotation keeps each cell's distance from the diagonal, so GM is such a
-    point, and the kept flags are GM's basis of the folded LP.  Each row dual is the folded one, halved on a row that
-    is not its own mirror; then c - a'y is half the folded reduced cost on a
-    paired column and equal to it on the centre column, and b.y = b_f.y_f.
+    point, and the kept flags are GM's basis of the folded LP.  Each row
+    dual is the folded one, halved on a row that is not its own mirror; then
+    c - a'y is half the folded reduced cost on a paired column and equal to
+    it on the centre column, and b.y = b_f.y_f.
     """
     mirror = lp._mirror
     m, nv = lp.a.shape
@@ -471,8 +464,6 @@ def _fold(lp: LinearProgram):
         a=CooMatrix(keys[nonzero] % mf, keys[nonzero] // mf, data[nonzero], (mf, nf)),
         rel=lp.rel[keep],
         b=lp.b[keep],
-        lo=lp.lo[:nf],
-        hi=lp.hi[:nf],
     )
     if lp._start is not None:
         folded._start = lp._start[keep]
@@ -487,7 +478,8 @@ def _model(problem: LinearProgram):
     nv, m = problem.num_vars, problem.num_constraints
     model = h.HighsLp()
     model.num_col_, model.num_row_ = nv, m
-    model.col_cost_, model.col_lower_, model.col_upper_ = problem.c, problem.lo, problem.hi
+    model.col_cost_ = problem.c
+    model.col_lower_, model.col_upper_ = np.zeros(nv), np.full(nv, np.inf)
     model.row_lower_, model.row_upper_ = _row_bounds(problem)
     # CooMatrix keeps its triplets in compressed-column order
     a = problem.a
@@ -572,8 +564,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     is optimal for ``lp`` within 1e-9.  It is never ``infeasible``,
     ``unbounded`` or costlier.
     """
-    if not np.all(np.isfinite(lp.lo)):
-        raise ValueError("solve_lp requires finite lower bounds")
     problem, lift = (lp, None) if lp._mirror is None else _fold(lp)
     h = _highs()
     model = _model(problem)
@@ -609,11 +599,12 @@ def solve_design(problem: LinearProgram) -> Mechanism:
     """The optimal mechanism of a design LP that ``build_lp`` returned.
 
     The feasible region always contains the uniform mechanism, so an
-    infeasible/unbounded status can only mean a solver defect.
+    infeasible or unbounded status can only mean a solver defect, and
+    raises ``NumericalInstability``.
     """
     sol = solve_lp(problem)
     if sol.status != STATUS_OPTIMAL:
-        raise LpInternalError(
+        raise NumericalInstability(
             f"design LP reported {sol.status}; the uniform mechanism is always feasible")
     size = math.isqrt(problem.num_vars)
     return Mechanism(sol.values.reshape(size, size))

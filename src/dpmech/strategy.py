@@ -60,6 +60,8 @@ def _check_reps(reps) -> int:
 
 def _check_props(props) -> frozenset:
     """Validate property names; returns them as a frozenset."""
+    if isinstance(props, str):
+        raise ValueError(f"properties must be a collection of names, not the string {props!r}")
     props = frozenset(props)
     for p in props:
         if p not in PROPERTIES:

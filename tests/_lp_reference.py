@@ -4,7 +4,7 @@ generator of random feasible, bounded instances.
 
 The enumerator is deliberately independent of the LP solver:
 a vertex is any feasible point where some set of num_vars constraint rows
-(equalities, inequalities or bounds) holds with equality; the optimum of a
+(equalities, inequalities or x_k >= 0) holds with equality; the optimum of a
 bounded feasible LP is the best vertex.
 """
 
@@ -30,12 +30,7 @@ def enumerate_optimum(lp: LinearProgram) -> float:
     nv = lp.num_vars
     a = lp.a.toarray()
     rows = [(a[k], int(lp.rel[k]), lp.b[k]) for k in range(lp.num_constraints)]
-    for k in range(nv):
-        e = np.zeros(nv)
-        e[k] = 1.0
-        rows.append((e.copy(), REL_GE, lp.lo[k]))
-        if np.isfinite(lp.hi[k]):
-            rows.append((e, REL_LE, lp.hi[k]))
+    rows += [(e, REL_GE, 0.0) for e in np.eye(nv)]
 
     eq_idx = [k for k, r in enumerate(rows) if r[1] == REL_EQ]
     in_idx = [k for k, r in enumerate(rows) if r[1] != REL_EQ]
@@ -81,7 +76,7 @@ def linprog_optimum(lp: LinearProgram) -> float:
     ref = linprog(lp.c, A_ub=np.vstack([a[le], -a[ge]]),
                   b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
                   A_eq=a[eq], b_eq=lp.b[eq],
-                  bounds=np.column_stack([lp.lo, lp.hi]), method="highs",
+                  bounds=(0.0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert ref.status == 0, ref.message
@@ -93,7 +88,8 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
 
     Up to 12 variables; the larger instances carry enough equality rows that
     choosing the remaining active set stays cheap.  Feasibility is guaranteed
-    by anchoring every row at an interior point.
+    by anchoring every row at an interior point.  Each variable has an upper
+    limit, as a <= row x_j <= hi_j after the others.
     """
     if rng.random() < 0.7:
         nv = int(rng.integers(2, 6))
@@ -122,11 +118,12 @@ def random_lp(rng: np.random.Generator) -> LinearProgram:
             rows.append(a)
             rels.append(REL_GE)
             rhs.append(a @ x0 - slack)
+    rows.extend(np.eye(nv))
+    rels.extend([REL_LE] * nv)
+    rhs.extend(hi)
     return LinearProgram(
         c=rng.uniform(-1.0, 1.0, size=nv),
         a=coo(np.array(rows)),
         rel=np.array(rels, dtype=np.int8),
         b=np.array(rhs),
-        lo=np.zeros(nv),
-        hi=hi,
     )

@@ -20,6 +20,7 @@ from dpmech import (
     Mechanism,
     Objective,
     PROPERTIES,
+    build_lp,
     check_property,
     design_mechanism,
     explicit_fair,
@@ -32,6 +33,7 @@ from dpmech import (
     new_mechanism,
     objective_value,
     read_mechanism_csv,
+    select_strategy,
     symmetrize,
     uniform,
     uniform_weights,
@@ -179,6 +181,17 @@ class TestCheckProperty:
         assert implied_properties({"RM"}) == {"RM", "RH"}
         assert implied_properties({"CM"}) == {"CM", "CH", "WH"}
         assert implied_properties({"CH", "F"}) == {"CH", "WH", "F"}
+
+    @pytest.mark.parametrize("props", ["FS", "WH"])
+    @pytest.mark.parametrize("call", [
+        lambda props: build_lp(3, 0.5, props, l0_objective(3)),
+        lambda props: select_strategy(3, 0.5, props),
+        implied_properties,
+    ], ids=["build_lp", "select_strategy", "implied_properties"])
+    def test_a_bare_string_is_refused(self, call, props):
+        # read as a set of letters, "FS" would mean {F, S}, and "WH" {W, H}
+        with pytest.raises(ValueError, match=f"not the string '{props}'"):
+            call(props)
 
     def test_implication_chains_hold_on_pool(self, rng):
         pool = [uniform(4), geometric(4, 0.62), geometric(6, 0.3),

@@ -56,7 +56,7 @@ from dpmech import lp as lp_module
 from dpmech.errors import DimensionMismatch, NumericalInstability
 
 
-def _mk(c, rows, rels, rhs, lo=None, hi=None, mirror=None):
+def _mk(c, rows, rels, rhs, mirror=None):
     """An LP from dense rows; ``mirror`` is recorded as ``build_lp`` records its row map."""
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -65,8 +65,6 @@ def _mk(c, rows, rels, rhs, lo=None, hi=None, mirror=None):
         a=coo(np.asarray(rows, dtype=float).reshape(-1, nv)),
         rel=np.asarray(rels, dtype=np.int8),
         b=np.asarray(rhs, dtype=float),
-        lo=np.zeros(nv) if lo is None else np.asarray(lo, dtype=float),
-        hi=np.full(nv, np.inf) if hi is None else np.asarray(hi, dtype=float),
     )
     if mirror is not None:
         lp._mirror = np.asarray(mirror, dtype=np.intp)
@@ -79,13 +77,17 @@ class TestBuildLp:
         assert lp.num_vars == 4
         assert int((lp.rel == REL_EQ).sum()) == 2
         assert int((lp.rel == REL_GE).sum()) == 4
-        assert np.all(lp.lo == 0.0) and np.all(lp.hi == np.inf)
         # x <= 1 is implied: every variable sits with coefficient 1 in exactly
         # one column-sum row, whose other coefficients are 0 or 1 and rhs is 1
         sums = lp.a.toarray()[:2]
         assert np.all(lp.rel[:2] == REL_EQ) and np.all(lp.b[:2] == 1.0)
         assert np.all((sums == 0.0) | (sums == 1.0))
         assert np.all(sums.sum(axis=0) == 1.0)
+
+    def test_bounds_read_as_zeros_and_inf(self):
+        # the views that reference code passes to linprog as bounds
+        lp = build_lp(3, 0.62, {"WH"}, l1_objective(3))
+        assert lp.lo.tolist() == [0.0] * 16 and lp.hi.tolist() == [np.inf] * 16
 
     @pytest.mark.parametrize("obj", [l0_objective(4), l0d_objective(3, 5)],
                              ids=["weights", "d"])
@@ -190,8 +192,7 @@ class TestBuildLp:
 def _lp_with(row, col, data, shape, num_rows=None, num_vars=None):
     num_rows, num_vars = shape if num_rows is None else (num_rows, num_vars)
     return LinearProgram(c=np.ones(num_vars), a=CooMatrix(row, col, data, shape),
-                         rel=np.full(num_rows, REL_GE), b=np.zeros(num_rows),
-                         lo=np.zeros(num_vars), hi=np.full(num_vars, np.inf))
+                         rel=np.full(num_rows, REL_GE), b=np.zeros(num_rows))
 
 
 class TestLinearProgramInput:
@@ -224,32 +225,29 @@ class TestLinearProgramInput:
 
     def test_dense_a_is_refused(self):
         with pytest.raises(TypeError, match="a must be a CooMatrix, got ndarray"):
-            LinearProgram(c=np.ones(2), a=np.eye(2), rel=[REL_GE, REL_GE], b=np.zeros(2),
+            LinearProgram(c=np.ones(2), a=np.eye(2), rel=[REL_GE, REL_GE], b=np.zeros(2))
+
+    def test_bounds_are_not_arguments(self):
+        # x >= 0 is the only bound; an upper limit is a <= row
+        with pytest.raises(TypeError, match="unexpected keyword argument 'lo'"):
+            LinearProgram(c=np.ones(2), a=coo(np.eye(2)), rel=[REL_GE, REL_GE], b=np.zeros(2),
                           lo=np.zeros(2), hi=np.ones(2))
 
     @pytest.mark.parametrize("field, value, message", [
         ("rel", [REL_GE], "constraint arrays disagree in length"),
-        ("lo", np.zeros(3), "bound arrays disagree with variable count"),
-        ("hi", np.ones(1), "bound arrays disagree with variable count"),
-        ("lo", [0.0, 2.0], "lower bound exceeds upper bound"),
         ("rel", [5, REL_GE], "rel entries must be REL_LE, REL_EQ or REL_GE"),
         # the rest once constructed, though solve_lp cannot take them
         ("c", np.ones((1, 2)), "c must be a 1-D vector"),
         ("rel", [[REL_GE], [REL_GE]], "rel must be a 1-D vector"),
         ("b", np.zeros((2, 1)), "b must be a 1-D vector"),
-        ("lo", np.zeros((1, 2)), "lo must be a 1-D vector"),
-        ("hi", np.ones((2, 1)), "hi must be a 1-D vector"),
         ("c", [1.0, np.nan], "c must be finite"),
         ("c", [1.0, -np.inf], "c must be finite"),
         ("b", [0.0, np.nan], "b must be finite"),
         ("b", [0.0, np.inf], "b must be finite"),
-        ("lo", [0.0, np.nan], "bounds must not be NaN"),
-        ("hi", [np.nan, 1.0], "bounds must not be NaN"),
-    ], ids=["rel", "lo", "hi", "lo-above-hi", "unknown-rel", "2d-c", "2d-rel", "2d-b",
-            "2d-lo", "2d-hi", "nan-c", "inf-c", "nan-b", "inf-b", "nan-lo", "nan-hi"])
+    ], ids=["rel", "unknown-rel", "2d-c", "2d-rel", "2d-b", "nan-c", "inf-c", "nan-b",
+            "inf-b"])
     def test_rows_and_bounds_must_fit(self, field, value, message):
-        fields = dict(c=np.ones(2), a=coo(np.eye(2)), rel=[REL_GE, REL_GE], b=np.zeros(2),
-                      lo=np.zeros(2), hi=np.ones(2))
+        fields = dict(c=np.ones(2), a=coo(np.eye(2)), rel=[REL_GE, REL_GE], b=np.zeros(2))
         fields[field] = value
         with pytest.raises(ValueError, match=message):
             LinearProgram(**fields)
@@ -321,7 +319,7 @@ class TestSharedDefinitions:
 
 class TestSolveLp:
     def test_maximize_single_variable(self):
-        sol = solve_lp(_mk([-1.0], [[1.0]], [REL_GE], [0.0], hi=[1.0]))
+        sol = solve_lp(_mk([-1.0], [[1.0]], [REL_LE], [1.0]))
         assert sol.status == STATUS_OPTIMAL
         assert sol.values[0] == pytest.approx(1.0, abs=1e-12)
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-12)
@@ -338,10 +336,6 @@ class TestSolveLp:
     def test_unbounded(self):
         sol = solve_lp(_mk([-1.0], np.zeros((0, 1)), [], []))
         assert sol.status == STATUS_UNBOUNDED
-
-    def test_infinite_lower_bound_is_refused(self):
-        with pytest.raises(ValueError, match="solve_lp requires finite lower bounds"):
-            solve_lp(_mk([1.0], [[1.0]], [REL_GE], [0.0], lo=[-np.inf]))
 
     @staticmethod
     def _limit_iterations(monkeypatch):
@@ -482,6 +476,13 @@ class TestCertify:
         with pytest.raises(NumericalInstability, match="breaks a constraint"):
             certify(lp, np.zeros(lp.num_vars), np.zeros(lp.num_constraints))
 
+    def test_negative_cell_is_refused(self):
+        # x = (1 + 1e-6, -1e-6) meets the row exactly and costs the bound y = 1
+        # proves; only x >= 0 is broken
+        lp = _mk([1.0, 1.0], [[1.0, 1.0]], [REL_GE], [1.0])
+        with pytest.raises(NumericalInstability, match="breaks a constraint by 1e-06"):
+            certify(lp, np.array([1.0 + 1e-6, -1e-6]), np.array([1.0]))
+
 
 class TestBasisDuals:
     @staticmethod
@@ -556,8 +557,7 @@ def _assert_exact_mirror(lp):
     assert mirror.shape == (m,)
     assert np.array_equal(mirror[mirror], np.arange(m))
     assert np.array_equal(lp.b[mirror], lp.b) and np.array_equal(lp.rel[mirror], lp.rel)
-    for v in (lp.c, lp.lo, lp.hi):
-        assert np.array_equal(v[::-1], v)
+    assert np.array_equal(lp.c[::-1], lp.c)
     # each triplet, moved to its mirror row and reversed column, is a triplet
     # of the same value: as keys sorted like CooMatrix's, the same keys and data
     a = lp.a
@@ -845,6 +845,14 @@ class TestHighsLoader:
 
 
 class TestDesignMechanism:
+    @pytest.mark.parametrize("status", [STATUS_INFEASIBLE, STATUS_UNBOUNDED])
+    def test_a_design_lp_that_is_not_solved_is_numerical_instability(self, monkeypatch, status):
+        # the uniform mechanism is always feasible, so only a solver defect says otherwise
+        monkeypatch.setattr(lp_module, "solve_lp", lambda problem: lp_module.LpSolution(status))
+        with pytest.raises(NumericalInstability, match=f"design LP reported {status}; "
+                           "the uniform mechanism is always feasible"):
+            design_mechanism(3, 0.62, {"WH"}, l0_objective(3))
+
     def test_n1_gives_randomized_response(self):
         for a in (0.3, 0.62, 0.9):
             for props in (frozenset(), {"F"}, {"WH", "S"}):
