@@ -15,8 +15,9 @@ process that designs a mechanism imports neither ``scipy.optimize`` nor
 ``scipy.sparse``.  The binding is registered under its own dotted name,
 which a later ``import scipy.optimize`` then reuses.  Without the file it
 falls back to the ordinary import.  HiGHS runs its simplex on one thread
-with a fixed random seed, primal and dual feasibility tolerances of 1e-10
-and no output, so an LP gives the same answer bit for bit in every process.
+with a fixed random seed, Devex pricing, primal and dual feasibility
+tolerances of 1e-10 and no output, on every run, so an LP gives the same
+answer bit for bit in every process.
 
 Rotating a mechanism by 180 degrees, x[i, j] -> x[n-i, n-j], reverses the
 variables.  It maps the column sums, the privacy rows and the RH, RM, CH,
@@ -35,21 +36,21 @@ run time: a wrong one fails loudly (see ``solve_lp``), and the tests check
 
 Every optimal count-query mechanism is the truncated geometric mechanism
 (GM) followed by a remap (Ghosh, Roughgarden and Sundararajan, STOC 2009),
-so ``solve_lp`` starts HiGHS from GM's vertex.  Its basis follows from cell
+so every design LP starts from GM's vertex.  Its basis follows from cell
 positions alone: every cell is basic, the column sums are tight, and of the
 two privacy rows of each adjacent pair the one GM meets with equality is
 tight, x[i, j] >= alpha x[i, j+1] when j < i and its partner when j >= i;
 every other logical, property rows included, is basic, and the dual
 simplex repairs the property rows GM breaks.  ``build_lp`` records that
-basis on the LP (the private ``_start``) when alpha ** n >= 1e-12; below
-that GM's far cells fall under HiGHS's tolerances, and the start is refused
-or fails, at a cost on top of the cold solve.  A start that HiGHS refuses,
-that does not end in an optimum, or whose answer ``certify`` refuses, is
-followed by a fresh cold run, which answers exactly as if there had been
-no start.  An answer from GM's basis is the optimal vertex the simplex
-reaches from GM: it has the cold run's cost within 1e-9, but may differ
-from the cold run's vertex, in its matrix and in the properties it happens
-to meet beyond those asked for.
+basis on every LP it returns (the private ``_start``), and ``certify``
+alone judges the answer.  A start that HiGHS refuses, that does not end in
+an optimum, or whose answer ``certify`` refuses (GM's far cells can fall
+under HiGHS's tolerances at small alpha and large n) is followed by a fresh
+cold run, which answers exactly as if there had been no start; Devex
+pricing makes such a failed start cheap.  An answer from GM's basis is the
+optimal vertex the simplex reaches from GM: it has the cold run's cost
+within 1e-9, but may differ from the cold run's vertex, in its matrix and
+in the properties it happens to meet beyond those asked for.
 
 An ``optimal`` answer is a checked claim, by ``certify`` on the data of the
 LP the caller passed, folded or not: the point breaks no row and no x >= 0
@@ -154,10 +155,10 @@ class LinearProgram:
     ``_mirror`` and ``_start`` are not constructor arguments: ``build_lp``
     sets ``_mirror`` on a centrosymmetric design LP, to pair row k with row
     _mirror[k] under reversal of the variables (x[j] <-> x[nv-1-j]), and
-    ``solve_lp`` then solves on half the variables.  It sets ``_start`` on a
-    design LP with alpha ** n >= 1e-12, one flag per row, True where the
-    row's logical is basic in GM's basis, and ``solve_lp`` starts from that
-    basis.  ``dataclasses.replace(lp)`` gives the same LP without either.
+    ``solve_lp`` then solves on half the variables.  It sets ``_start`` on
+    every design LP, one flag per row, True where the row's logical is basic
+    in GM's basis, and ``solve_lp`` starts from that basis.
+    ``dataclasses.replace(lp)`` gives the same LP without either.
     """
 
     c: np.ndarray
@@ -234,7 +235,7 @@ class LpSolution:
     status: str
     values: np.ndarray | None = None
     objective_value: float | None = None
-    #: which run answered: "gm" (from GM's basis), "cold", or "cold-after-gm"
+    #: which run answered: "gm" (from GM's basis), "cold-after-gm", or "cold" (not a build_lp LP)
     start: str = "cold"
     #: simplex iterations, summed over the runs
     iterations: int = 0
@@ -263,12 +264,6 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
 def _stack_last(arrays) -> np.ndarray:
     """np.stack(arrays, -1), at about half its per-call cost on small arrays."""
     return np.concatenate([a[..., None] for a in arrays], -1)
-
-
-#: below this alpha ** n, a start from GM's basis is refused or fails (see
-#: the module docstring); measured: certified at alpha ** n = 2.8e-13 (n=24,
-#: alpha=0.3) and 1.1e-10, fell back to cold at 5.2e-14 and 1.9e-17
-_CRASH_FLOOR = 1e-12
 
 
 def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
@@ -323,13 +318,12 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
     if not {"F", "S"} & props and np.array_equal(c, c[::-1]):
         starts = np.cumsum(counts) - counts
         lp._mirror = np.repeat(2 * starts + counts - 1, counts) - np.arange(start)
-    if alpha ** n >= _CRASH_FLOOR:
-        # GM's basis: the column sums are tight, and at each privacy pair
-        # (i, j), (i, j+1) the row x[i, j] >= alpha x[i, j+1] is tight when
-        # j < i and its partner when j >= i; every other logical is basic
-        below = np.tri(size, n, -1, dtype=bool)  # j < i
-        lp._start = np.concatenate([np.zeros(size, bool), _stack_last([~below, below]).ravel(),
-                                    np.ones(start - size - 2 * n * size, bool)])
+    # GM's basis: the column sums are tight, and at each privacy pair
+    # (i, j), (i, j+1) the row x[i, j] >= alpha x[i, j+1] is tight when
+    # j < i and its partner when j >= i; every other logical is basic
+    below = np.tri(size, n, -1, dtype=bool)  # j < i
+    lp._start = np.concatenate([np.zeros(size, bool), _stack_last([~below, below]).ravel(),
+                                np.ones(start - size - 2 * n * size, bool)])
     return lp
 
 
@@ -339,10 +333,14 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-#: fixed so that the same LP gives the same answer bit for bit in any process
+#: fixed so that the same LP gives the same answer bit for bit in any process;
+#: Devex pricing (1), as HiGHS's default computes exact dual steepest-edge
+#: weights from a basis that is not all logicals, such as GM's, one solve per
+#: row before iteration 0, and at n=128 that pass is most of the run
 _HIGHS_OPTIONS = (
     ("output_flag", False),
     ("solver", "simplex"),
+    ("simplex_dual_edge_weight_strategy", 1),
     ("threads", 1),
     ("random_seed", 0),
     ("primal_feasibility_tolerance", 1e-10),
@@ -540,16 +538,16 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     and to duals of ``lp``'s own rows.  The optimal cost is the same; which
     optimum is returned is not.  Any other LP goes to HiGHS as it is.
 
-    An LP on which ``build_lp`` recorded a ``_start`` is first run from that
-    basis, GM's (see the module docstring), and the answer is returned with
-    ``start == "gm"`` when HiGHS ends optimal and ``certify`` passes it.  In
+    A design LP (``build_lp`` records a ``_start`` on every one) is first run
+    from GM's basis (see the module docstring), and the answer is returned
+    with ``start == "gm"`` when HiGHS ends optimal and ``certify`` passes it.  In
     every other case -- a start without one basic variable per row or that
     ``setBasis`` refuses, any other end state (infeasible and unbounded
     too), a refused basis call or certificate -- a fresh cold run of the
     same model answers, with ``start == "cold-after-gm"``, bit for bit as
     the LP without ``_start`` is answered (``start == "cold"``), statuses
     and errors included.  ``iterations`` sums the simplex iterations of the
-    runs.
+    runs.  Every run, from GM's basis or cold, prices with Devex.
 
     Either way an ``optimal`` answer has passed ``certify`` on ``lp`` itself,
     with the duals of ``_basis_duals``.  Raises ``NumericalInstability`` when
@@ -571,7 +569,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if problem._start is not None:
         highs = _run(model, problem._start)
         if highs is not None:
-            iterations = highs.getInfo().simplex_iteration_count
+            # HiGHS reports -1 after a solve error, which GM's basis can meet
+            iterations = max(highs.getInfo().simplex_iteration_count, 0)
             if highs.getModelStatus() == h.HighsModelStatus.kOptimal:
                 try:
                     return _certified(lp, problem, lift, highs, "gm", iterations)
@@ -607,4 +606,5 @@ def solve_design(problem: LinearProgram) -> Mechanism:
         raise NumericalInstability(
             f"design LP reported {sol.status}; the uniform mechanism is always feasible")
     size = math.isqrt(problem.num_vars)
-    return Mechanism(sol.values.reshape(size, size))
+    # + 0.0 clears -0.0 cells, so the CSV text does not depend on the run
+    return Mechanism(sol.values.reshape(size, size) + 0.0)

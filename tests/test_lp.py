@@ -39,6 +39,7 @@ from dpmech import (
     solve_lp,
     uniform,
     uniform_weights,
+    write_mechanism_csv,
 )
 from dpmech.lp import (
     REL_EQ,
@@ -514,9 +515,11 @@ class TestBasisDuals:
     def test_refined_duals_solve_the_basis_to_rounding(self, monkeypatch):
         # on the unfolded LP, HiGHS's row duals, and its basis solve unrefined
         # or refined on an unscaled right-hand side, all leave about 2.8e-7;
-        # solve_lp folds this LP, so the residual is taken on the LP HiGHS solved
+        # solve_lp folds this LP, so the residual is taken on the LP HiGHS solved.
+        # The cold basis is the one pinned: the run from GM's basis leaves 0.076
+        # here, certify refuses it and the cold run follows
         calls = self._spy(monkeypatch)
-        solve_lp(build_lp(32, 0.3, frozenset(), l1_objective(32)))
+        _cold(build_lp(32, 0.3, frozenset(), l1_objective(32)))
         [(lp, basic, y)] = calls
         assert lp.num_vars == (33 * 33 + 1) // 2
         structural = basic >= 0
@@ -716,12 +719,56 @@ class TestCrashStart:
         assert (sol.start, sol.iterations) == ("gm", 0)
         assert np.allclose(sol.values.reshape(33, 33), geometric(32, 0.9).matrix, atol=1e-12)
 
-    def test_start_is_kept_only_above_the_floor(self):
-        # alpha ** n is 1.9e-17 for the first and 1.0e-5 for the second
-        lp = build_lp(32, 0.3, frozenset(), l0_objective(32))
-        assert lp._start is None
-        assert solve_lp(lp).start == "cold"
-        assert build_lp(24, 0.62, frozenset(), l0_objective(24))._start is not None
+    def test_every_design_lp_starts_from_gm(self):
+        # however small alpha ** n is (1.9e-17 at n=32, alpha=0.3), certify
+        # alone decides whether the start's answer stands
+        for props in _CLOSED_PROPS:
+            for objective in (l0_objective, l1_objective):
+                assert build_lp(32, 0.3, props, objective(32))._start is not None, props
+        # alpha ** n is 2.8e-13: GM is the optimum
+        sol = solve_lp(build_lp(24, 0.3, frozenset(), l0_objective(24)))
+        assert (sol.start, sol.iterations) == ("gm", 0)
+        # alpha ** n is 3.4e-34: the start ends in a solve error, which HiGHS
+        # counts as -1 iterations, and the cold run answers
+        sol = solve_lp(build_lp(64, 0.3, frozenset(), l0_objective(64)))
+        cold = _cold(build_lp(64, 0.3, frozenset(), l0_objective(64)))
+        assert (sol.start, sol.iterations) == ("cold-after-gm", cold.iterations)
+        assert sol.values.tobytes() == cold.values.tobytes()
+
+    def test_start_from_gm_is_exactly_private_where_it_certifies(self):
+        # alpha ** n is 2.8e-13; the cold answer falls 8.9e-11 short of the
+        # exact ratio, with 42 zero cells
+        p = design_mechanism(24, 0.3, frozenset(), l0_objective(24)).matrix
+        assert np.count_nonzero(p == 0.0) == 0
+        lo, hi = p[:, :-1], p[:, 1:]
+        assert max((0.3 * hi - lo).max(), (0.3 * lo - hi).max()) <= 1e-15
+
+    def test_every_run_is_simplex_priced_with_devex(self, monkeypatch):
+        # an ipm run once ended in a segfault in getBasicVariables; Devex is a
+        # simplex option, so every run must be simplex
+        h = lp_module._highs()
+        real = h._Highs
+        made = []
+
+        def spy():
+            made.append(real())
+            return made[-1]
+
+        monkeypatch.setattr(h, "_Highs", spy)
+        runs = [solve_lp(self._lp()).start, _cold(self._lp()).start,
+                solve_lp(build_lp(32, 0.3, frozenset(), l0_objective(32))).start]
+        assert runs == ["gm", "cold", "cold-after-gm"] and len(made) == 4
+        ok = h.HighsStatus.kOk
+        for highs in made:
+            assert highs.getOptionValue("solver") == (ok, "simplex")
+            assert highs.getOptionValue("simplex_dual_edge_weight_strategy") == (ok, 1)
+
+    def test_design_csv_holds_no_negative_zero(self, tmp_path):
+        # 50 of this design's cells are zero, and HiGHS returns 48 of them as -0.0
+        mech = design_mechanism(24, 0.62, frozenset(), l1_objective(24))
+        assert np.count_nonzero(mech.matrix == 0.0) == 50
+        write_mechanism_csv(mech, tmp_path / "m.csv")
+        assert "-0." not in (tmp_path / "m.csv").read_text()
 
     def test_start_is_one_basic_variable_per_row(self):
         for props in _CLOSED_PROPS:
