@@ -23,16 +23,16 @@ Rotating a mechanism by 180 degrees, x[i, j] -> x[n-i, n-j], reverses the
 variables.  It maps the column sums, the privacy rows and the RH, RM, CH,
 CM and WH rows each onto a row of the same block, in reverse order, and
 keeps the l0, l1 and l2 costs under weights that read the same reversed;
-so an optimum averaged with its rotation is an optimum.  ``build_lp``, and
-nothing else, records that row map on the LP it returns (the private
-``_mirror``) when the costs read the same reversed and neither F nor S is
-asked for.  ``solve_lp`` then gives HiGHS the folded LP, one variable per
-pair of cells {j, nv-1-j} and one row per mirror pair, about half the
-size, and expands its answer to a centrosymmetric point and to duals of
-the full LP.  F and S rows have no mirror, so those LPs, and the ones with
-asymmetric weights, go to HiGHS as they are.  The map is not checked at
-run time: a wrong one fails loudly (see ``solve_lp``), and the tests check
-``build_lp``'s maps exactly.
+so an optimum averaged with its rotation is an optimum.  It keeps F and S
+too, though their rows fold rather than map: F's rows diag[i+1] == diag[0]
+pair in reverse for i < n-1, and its last row and every S row fold to 0 == 0.
+``build_lp``, and nothing else, records that row map on the LP it returns
+(the private ``_mirror``) exactly when the costs read the same reversed.
+``solve_lp`` then gives HiGHS the folded LP, one variable per pair of cells
+{j, nv-1-j} and one row per mirror pair, about half the size, and expands
+its answer to a centrosymmetric point and to duals of the full LP.  Other
+LPs go to HiGHS as they are.  The map is not checked at run time: a wrong
+one fails loudly (see ``solve_lp``), and the tests check it exactly.
 
 Every optimal count-query mechanism is the truncated geometric mechanism
 (GM) followed by a remap (Ghosh, Roughgarden and Sundararajan, STOC 2009),
@@ -110,6 +110,8 @@ class CooMatrix:
         if not (self.row.ndim == self.col.ndim == self.data.ndim == 1
                 and self.row.size == self.col.size == self.data.size):
             raise ValueError("row, col and data must be 1-d and of one length")
+        if not np.isfinite(self.data).all():
+            raise ValueError("data must be finite")
         for idx, bound, name in ((self.row, self.shape[0], "row"),
                                  (self.col, self.shape[1], "col")):
             if idx.size and not (idx.min() >= 0 and idx.max() < bound):
@@ -152,13 +154,13 @@ class LinearProgram:
     zeros and +inf, for reference code only; the solve, ``max_violation``,
     ``certify`` and ``dump`` read the triplets.
 
-    ``_mirror`` and ``_start`` are not constructor arguments: ``build_lp``
-    sets ``_mirror`` on a centrosymmetric design LP, to pair row k with row
-    _mirror[k] under reversal of the variables (x[j] <-> x[nv-1-j]), and
-    ``solve_lp`` then solves on half the variables.  It sets ``_start`` on
-    every design LP, one flag per row, True where the row's logical is basic
-    in GM's basis, and ``solve_lp`` starts from that basis.
-    ``dataclasses.replace(lp)`` gives the same LP without either.
+    ``build_lp`` sets the private fields: ``_mirror`` when the costs read
+    the same reversed, to pair row k with row _mirror[k] under reversal of
+    the variables (x[j] <-> x[nv-1-j]), for ``solve_lp`` to solve on half the
+    variables, and ``_fair_row``, F's last row, for ``_fold``.  It sets
+    ``_start`` on every design LP, one flag per row, True where the row's
+    logical is basic in GM's basis, and ``solve_lp`` starts from that basis.
+    ``dataclasses.replace(lp)`` gives the same LP without any of them.
     """
 
     c: np.ndarray
@@ -167,6 +169,7 @@ class LinearProgram:
     b: np.ndarray
     _mirror: np.ndarray | None = field(default=None, init=False, repr=False)
     _start: np.ndarray | None = field(default=None, init=False, repr=False)
+    _fair_row: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -211,15 +214,13 @@ class LinearProgram:
         One record per line, fields separated by single spaces; variables and
         rows count from 0 and numbers are written with 17 significant digits::
 
-            minimize <num_vars> <num_constraints>   first line
-            c <var> <value>                          nonzero objective coefficient
-            bound <var> 0 inf                        one per variable: x >= 0
-            row <row> <rel> <rhs>                    one per row, rel is <=, == or >=
-            a <row> <var> <value>                    one per triplet of a, row-major
+            minimize <num_vars> <num_constraints> x >= 0   first line; x >= 0 is the only bound
+            c <var> <value>                                 nonzero objective coefficient
+            row <row> <rel> <rhs>                           one per row, rel is <=, == or >=
+            a <row> <var> <value>                           one per triplet of a, row-major
         """
-        fh.write(f"minimize {self.num_vars} {self.num_constraints}\n")
+        fh.write(f"minimize {self.num_vars} {self.num_constraints} x >= 0\n")
         fh.writelines(f"c {k} {self.c[k]:.17g}\n" for k in np.flatnonzero(self.c))
-        fh.writelines(f"bound {k} 0 inf\n" for k in range(self.num_vars))
         fh.writelines(f"row {r} {_REL_TEXT[int(rel)]} {rhs:.17g}\n"
                       for r, (rel, rhs) in enumerate(zip(self.rel, self.b)))
         a = self.a
@@ -277,7 +278,7 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
 
     # each block is the rows x[p] - k*x[q] {rel} rhs, one per kept pair of _sides
     cells = np.arange(nv).reshape(size, size)
-    blocks = []
+    blocks, fair = [], None
     for prop in ("DP", *PROPERTIES):
         if prop == "WH" and prop in props:
             blocks.append((np.diagonal(cells), None, 0.0, REL_GE, 1.0 / size))
@@ -285,6 +286,9 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
             lhs, rhs, keeps = zip(*_sides(cells, prop))
             keep = _stack_last([np.ones(lhs[0].shape, bool) if k is None else k for k in keeps])
             p, q = _stack_last(lhs)[keep], _stack_last(rhs)[keep]
+            if prop == "F":  # its last row, diag[n] == diag[0], is its own mirror
+                blocks.append((p[:-1], q[:-1], 1.0, REL_EQ, 0.0))
+                p, q, fair = p[-1:], q[-1:], size + sum(blk[0].size for blk in blocks)
             blocks.append((p, q, alpha if prop == "DP" else 1.0,
                            REL_EQ if prop in _EQUALITIES else REL_GE, 0.0))
 
@@ -314,10 +318,11 @@ def build_lp(n: int, alpha: float, props, obj: Objective) -> LinearProgram:
         b=b,
     )
     # rotating the grid by 180 degrees (reversing the variables) maps each
-    # block onto itself in reverse; F and S rows have no such mirror
-    if not {"F", "S"} & props and np.array_equal(c, c[::-1]):
+    # block onto itself in reverse
+    if np.array_equal(c, c[::-1]):
         starts = np.cumsum(counts) - counts
         lp._mirror = np.repeat(2 * starts + counts - 1, counts) - np.arange(start)
+        lp._fair_row = fair
     # GM's basis: the column sums are tight, and at each privacy pair
     # (i, j), (i, j+1) the row x[i, j] >= alpha x[i, j+1] is tight when
     # j < i and its partner when j >= i; every other logical is basic
@@ -440,7 +445,9 @@ def _fold(lp: LinearProgram):
     point, and the kept flags are GM's basis of the folded LP.  Each row
     dual is the folded one, halved on a row that is not its own mirror; then
     c - a'y is half the folded reduced cost on a paired column and equal to
-    it on the centre column, and b.y = b_f.y_f.
+    it on the centre column, and b.y = b_f.y_f.  Only F's last row differs:
+    the other F rows hold diag[0] but not diag[n], so it takes -1/2 of their
+    lifted duals' sum, moving half their weight to diag[n]; its b is 0.
     """
     mirror = lp._mirror
     m, nv = lp.a.shape
@@ -467,7 +474,12 @@ def _fold(lp: LinearProgram):
         folded._start = lp._start[keep]
     share = np.where(mirror == rows, 1.0, 2.0)
     rep = index[np.minimum(rows, mirror)]
-    return folded, lambda z, y: (z[orbit], y[rep] / share)
+    def lift(z, y):
+        y = y[rep] / share
+        if (fair := lp._fair_row) is not None:  # after the n-1 other F rows
+            y[fair] = -0.5 * y[fair - math.isqrt(nv) + 2:fair].sum()
+        return z[orbit], y
+    return folded, lift
 
 
 def _model(problem: LinearProgram):
@@ -499,7 +511,9 @@ def _run(model, start: np.ndarray | None = None):
     highs = h._Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
-    highs.passModel(model)
+    if highs.passModel(model) == h.HighsStatus.kError:
+        # such as an entry of 1e15 or more; entries under 1e-9 only warn, and are dropped
+        raise NumericalInstability("HiGHS refused the model")
     if start is not None:
         if model.num_col_ + np.count_nonzero(start) != model.num_row_:
             return None
@@ -518,10 +532,15 @@ def _certified(lp: LinearProgram, problem: LinearProgram, lift, highs, start: st
     """The optimal answer of a run on ``problem``, mapped by ``lift`` to ``lp``
     and passed by ``certify`` there; raises ``NumericalInstability`` when it is not."""
     x = np.array(highs.getSolution().col_value)
-    status, basic = highs.getBasicVariables()
-    if status != _highs().HighsStatus.kOk:
-        raise NumericalInstability(f"HiGHS's basis read ended with {status.name}")
-    y = _basis_duals(problem, highs, basic)
+    if problem.a.nnz:
+        status, basic = highs.getBasicVariables()
+        if status != _highs().HighsStatus.kOk:
+            raise NumericalInstability(f"HiGHS's basis read ended with {status.name}")
+        y = _basis_duals(problem, highs, basic)
+    else:
+        # HiGHS builds no factor here, and its basis read crashes; y = 0
+        # proves the bound, since an optimum means c >= 0
+        y = np.zeros(problem.num_constraints)
     if lift is not None:
         x, y = lift(x, y)
     certify(lp, x, y)
@@ -536,7 +555,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     (``_fold``): HiGHS gets one variable per pair {j, nv-1-j} and one row per
     mirror pair, and the answer is expanded to a point with x[j] == x[nv-1-j]
     and to duals of ``lp``'s own rows.  The optimal cost is the same; which
-    optimum is returned is not.  Any other LP goes to HiGHS as it is.
+    optimum is returned is not.  Any other LP goes to HiGHS as it is.  A
+    model HiGHS refuses, such as one with an entry of 1e15 or more, raises
+    ``NumericalInstability``.
 
     A design LP (``build_lp`` records a ``_start`` on every one) is first run
     from GM's basis (see the module docstring), and the answer is returned

@@ -139,9 +139,9 @@ def test_design_dump_lp_writes_rows_and_designs(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["WH"]
     lines = dump.read_text().splitlines()
-    assert lines[0] == "minimize 9 18"
-    # 9 bounds, 3 column sums, 12 privacy rows, 3 weak-honesty rows
-    assert sum(1 for ln in lines if ln.startswith("bound ")) == 9
+    assert lines[0] == "minimize 9 18 x >= 0"
+    # 3 column sums, 12 privacy rows, 3 weak-honesty rows, and no bound lines
+    assert not any(ln.startswith("bound ") for ln in lines)
     rows = [ln.split()[2] for ln in lines if ln.startswith("row ")]
     assert rows == ["=="] * 3 + [">="] * (12 + 3)
     assert read_mechanism_csv(out)[0].n == 2

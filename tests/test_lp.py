@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -124,8 +125,9 @@ class TestBuildLp:
         with open(path, "w") as fh:
             lp.dump(fh)
         lines = path.read_text().splitlines()
-        assert lines[0] == "minimize 4 8"
-        assert sum(1 for ln in lines if ln.startswith("bound ")) == 4
+        # x >= 0 is the only bound, stated once on the first line
+        assert lines[0] == "minimize 4 8 x >= 0"
+        assert not any(ln.startswith("bound ") for ln in lines)
         assert sum(1 for ln in lines if ln.startswith("row ") and " >= " in ln) == 6
         assert sum(1 for ln in lines if ln.startswith("row ") and " == " in ln) == 2
         # one line per nonzero, and the lines rebuild the LP exactly
@@ -142,13 +144,13 @@ class TestBuildLp:
         assert np.array_equal(c, lp.c) and np.array_equal(a, dense)
 
     def test_dump_is_pinned(self):
-        # the text that --dump-lp writes; the digest dates from the dense-matrix build
+        # the text that --dump-lp writes; the digest dates from dropping the bound lines
         lp = build_lp(4, 0.62, frozenset(PROPERTIES), l1_objective(4))
         buf = io.StringIO()
         lp.dump(buf)
         text = buf.getvalue()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "37bd6fc0bc884b521c4834f7f3d72eabc339f819c6f420bf6864741ffe7cf332")
+            "a92db2c3aef63347876de0d9d222d5e82e8f17bd5040a784f1400f5861c275aa")
         cells = [tuple(map(int, ln.split()[1:3])) for ln in text.splitlines()
                  if ln.startswith("a ")]
         assert len(cells) == lp.a.nnz and cells == sorted(set(cells))
@@ -253,6 +255,11 @@ class TestLinearProgramInput:
         with pytest.raises(ValueError, match=message):
             LinearProgram(**fields)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_data_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="data must be finite"):
+            CooMatrix([0, 1], [0, 1], [1.0, value], (2, 2))
+
     def test_triplets_are_kept_in_compressed_column_order(self):
         a = CooMatrix([0, 1, 1, 0], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0], (2, 2))
         assert (a.col.tolist(), a.row.tolist(), a.data.tolist()) == (
@@ -338,6 +345,28 @@ class TestSolveLp:
         sol = solve_lp(_mk([-1.0], np.zeros((0, 1)), [], []))
         assert sol.status == STATUS_UNBOUNDED
 
+    @pytest.mark.parametrize("value", [1e16, -1e300])
+    def test_a_model_highs_refuses_is_numerical_instability(self, value):
+        with pytest.raises(NumericalInstability, match="HiGHS refused the model"):
+            solve_lp(_mk([1.0], [[value]], [REL_GE], [1.0]))
+
+    def test_entries_highs_drops_with_a_warning_are_solved(self):
+        # HiGHS drops the 1e-10 privacy coefficients and warns; the answer still certifies
+        sol = solve_lp(build_lp(4, 1e-10, frozenset({"F"}), l1_objective(4)))
+        assert sol.status == STATUS_OPTIMAL and sol.start == "gm"
+
+    def test_a_matrix_without_nonzeros_is_solved(self):
+        # HiGHS builds no factor for such an LP, and reading its basis crashed
+        # the process; a fresh interpreter keeps a crash out of this one
+        run_fresh("from dpmech.lp import REL_GE, CooMatrix, LinearProgram, solve_lp\n"
+                  "for c, b, status, values in (([1.0], 0.0, 'optimal', [0.0]),\n"
+                  "                             ([1.0], 1.0, 'infeasible', None),\n"
+                  "                             ([-1.0], 0.0, 'unbounded', None)):\n"
+                  "    a = CooMatrix([], [], [], (1, 1))\n"
+                  "    sol = solve_lp(LinearProgram(c=c, a=a, rel=[REL_GE], b=[b]))\n"
+                  "    assert sol.status == status, (c, b, sol.status)\n"
+                  "    assert values is None or sol.values.tolist() == values\n")
+
     @staticmethod
     def _limit_iterations(monkeypatch):
         monkeypatch.setattr(lp_module, "_HIGHS_OPTIONS",
@@ -352,7 +381,7 @@ class TestSolveLp:
             solve_lp(lp)
 
     def test_cold_run_after_a_failed_crash_raises_its_own_error(self, monkeypatch):
-        # from GM's basis this LP takes 4 iterations, so both runs hit the limit
+        # from GM's basis this LP takes 2 iterations, folded, so both runs hit the limit
         lp = build_lp(4, 0.62, frozenset({"F"}), l0_objective(4))
         self._limit_iterations(monkeypatch)
         with pytest.raises(NumericalInstability,
@@ -550,24 +579,39 @@ class TestBasisDuals:
             solve_lp(lp)
 
 
-_FOLDABLE = tuple(p for p in PROPERTIES if p not in ("F", "S"))
-
-
-def _assert_exact_mirror(lp):
-    """``lp._mirror`` pairs the rows exactly under reversal of the variables."""
+def _assert_exact_mirror(lp, props):
+    """``lp._mirror`` pairs the rows exactly under reversal of the variables,
+    except that each F and S row folds to the same row as its mirror."""
     mirror = lp._mirror
     m, nv = lp.a.shape
     assert mirror.shape == (m,)
     assert np.array_equal(mirror[mirror], np.arange(m))
     assert np.array_equal(lp.b[mirror], lp.b) and np.array_equal(lp.rel[mirror], lp.rel)
     assert np.array_equal(lp.c[::-1], lp.c)
-    # each triplet, moved to its mirror row and reversed column, is a triplet
-    # of the same value: as keys sorted like CooMatrix's, the same keys and data
+    # in a design LP the F and S rows, and only they, are == 0 rows
+    fs = (lp.rel == REL_EQ) & (lp.b == 0.0)
+    assert np.count_nonzero(fs) == (("F" in props) * (math.isqrt(nv) - 1)
+                                    + ("S" in props) * (nv // 2))
+    # each other triplet, moved to its mirror row and reversed column, is a
+    # triplet of the same value: as keys sorted like CooMatrix's, the same keys and data
     a = lp.a
-    keys = (nv - 1 - a.col) * m + mirror[a.row]
+    exact = ~fs[a.row]
+    keys = (nv - 1 - a.col[exact]) * m + mirror[a.row[exact]]
     order = np.argsort(keys)
-    assert np.array_equal(keys[order], a.col * m + a.row)
-    assert np.array_equal(a.data[order], a.data)
+    assert np.array_equal(keys[order], (a.col * m + a.row)[exact])
+    assert np.array_equal(a.data[exact][order], a.data[exact])
+    # an F or S row and its mirror add up to the same row on each orbit {j, nv-1-j}
+    index = np.cumsum(fs) - 1
+    folded = np.zeros((np.count_nonzero(fs), (nv + 1) // 2))
+    orbit = np.minimum(a.col, nv - 1 - a.col)
+    np.add.at(folded, (index[a.row[~exact]], orbit[~exact]), a.data[~exact])
+    assert np.array_equal(folded[index[mirror[fs]]], folded)
+    # F's last row, diag[n] == diag[0], and every S row fold to 0 == 0
+    assert (lp._fair_row is not None) == ("F" in props)
+    empty = ~folded.any(axis=1)
+    assert np.count_nonzero(empty) == ("F" in props) + ("S" in props) * (nv // 2)
+    if "F" in props:
+        assert mirror[lp._fair_row] == lp._fair_row and empty[index[lp._fair_row]]
 
 
 def _two_pairs_swapped(mirror, rng):
@@ -591,28 +635,28 @@ class TestFold:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_mirror_validates_for_every_property_subset(self, n):
+        skewed = Objective(p=1, weights=np.arange(1.0, n + 2) / ((n + 1) * (n + 2) / 2))
         for size in range(len(PROPERTIES) + 1):
             for props in combinations(PROPERTIES, size):
-                for objective in (l0_objective, l1_objective):
-                    lp = build_lp(n, 0.62, frozenset(props), objective(n))
-                    foldable = not {"F", "S"} & set(props)
-                    assert (lp._mirror is not None) == foldable, props
-                    if foldable:
-                        _assert_exact_mirror(lp)
+                for obj in (l0_objective(n), l1_objective(n), skewed):
+                    lp = build_lp(n, 0.62, frozenset(props), obj)
+                    symmetric = np.array_equal(lp.c, lp.c[::-1])
+                    assert (lp._mirror is not None) == symmetric, props
+                    if symmetric:
+                        _assert_exact_mirror(lp, props)
 
     @pytest.mark.parametrize("n", [12, 16, 24, 32])
-    @pytest.mark.parametrize("props", [(), ("WH", "RM", "CM")], ids=["none", "WH+RM+CM"])
+    @pytest.mark.parametrize("props", [(), ("WH", "RM", "CM"), ("F",), ("CH", "S")],
+                             ids=["none", "WH+RM+CM", "F", "CH+S"])
     def test_mirror_validates_at_benchmark_scale(self, n, props):
-        # design_grid's n 12-32 slice
-        _assert_exact_mirror(build_lp(n, 0.9, frozenset(props), l0_objective(n)))
+        # design_grid's n 12-32 slice, and its F and S property sets
+        _assert_exact_mirror(build_lp(n, 0.9, frozenset(props), l0_objective(n)), props)
 
     @pytest.mark.parametrize("props, weights", [
-        (("F",), None), (("S",), None), (("WH", "CM", "F"), None), (("RM", "S"), None),
         (("WH", "CM"), [0.1, 0.2, 0.3, 0.4]), ((), [0.4, 0.3, 0.2, 0.1]),
-    ], ids=["F", "S", "WH+CM+F", "RM+S", "WH+CM-skewed", "none-skewed"])
+    ], ids=["WH+CM-skewed", "none-skewed"])
     def test_unfoldable_lps_go_to_highs_as_they_are(self, monkeypatch, props, weights):
-        obj = l1_objective(3) if weights is None else Objective(p=1, weights=weights)
-        lp = build_lp(3, 0.62, frozenset(props), obj)
+        lp = build_lp(3, 0.62, frozenset(props), Objective(p=1, weights=weights))
         assert lp._mirror is None
         sol, problem = self._solved(monkeypatch, lp)
         assert problem is lp
@@ -621,7 +665,8 @@ class TestFold:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_folded_cost_matches_unfolded(self, monkeypatch, n):
         for alpha in (0.3, 0.9):
-            for props in ((), ("WH",), ("WH", "CM"), ("WH", "RM", "CM"), _FOLDABLE):
+            for props in ((), ("WH",), ("WH", "CM"), ("WH", "RM", "CM"), ("F",), ("S",),
+                          PROPERTIES):
                 for objective in (l0_objective, l1_objective, l2_objective):
                     lp = build_lp(n, alpha, frozenset(props), objective(n))
                     full = solve_lp(dataclasses.replace(lp))
@@ -630,6 +675,18 @@ class TestFold:
                     assert problem.num_vars == ((n + 1) ** 2 + 1) // 2
                     assert abs(sol.objective_value - full.objective_value) <= 1e-12, props
                     assert np.array_equal(sol.values, sol.values[::-1]), props
+
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("props, objective", [(("F",), l1_objective),
+                                                  (("WH", "CM", "S"), l0_objective)],
+                             ids=["F-l1", "WH+CM+S-l0"])
+    def test_fair_and_symmetric_lps_fold_at_scale(self, monkeypatch, n, props, objective):
+        lp = build_lp(n, 0.9, frozenset(props), objective(n))
+        full = solve_lp(dataclasses.replace(lp))
+        sol, problem = self._solved(monkeypatch, lp)
+        assert problem.num_vars == ((n + 1) ** 2 + 1) // 2
+        assert abs(sol.objective_value - full.objective_value) <= 1e-9
+        assert max_violation(lp, sol.values) <= 1e-9
 
     def test_rows_that_are_their_own_mirror_or_cancel(self):
         # min x0 + x1 s.t. x0 + x1 >= 2 and 2 x0 + 2 x1 <= 9: both rows map onto
